@@ -151,15 +151,17 @@ func BenchmarkColdServeThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkWireColdServeThroughput pins the wire cluster's router
-// proxy path: a front-door GET rendezvous-routes to an edge node over
-// its loopback carrier and the router streams the edge's response body
-// into the ResponseWriter through a pooled copy block. The router
-// holds no cache of its own — every op is a full over-the-wire round
-// trip — so allocs/op is the price of one proxied request and must
-// never grow body-sized (the streamdiscipline vet bans io.ReadAll on
-// this path; benchgate pins the number).
-func BenchmarkWireColdServeThroughput(b *testing.B) {
+// BenchmarkWireWarmProxyThroughput pins the wire cluster's router
+// proxy path over a warm edge: the key is cached on its owning edge
+// before timing, then every front-door GET rendezvous-routes to that
+// edge over its loopback carrier and the router streams the edge's
+// cached body into the ResponseWriter through a pooled copy block. No
+// op synthesizes. The router holds no cache of its own — every op is a
+// full over-the-wire round trip — so allocs/op is the price of one
+// proxied request and must never grow body-sized (the
+// streamdiscipline vet bans io.ReadAll on this path; benchgate pins
+// the number).
+func BenchmarkWireWarmProxyThroughput(b *testing.B) {
 	v := benchVideo()
 	catalog := dash.NewCatalog()
 	if err := catalog.Add(v); err != nil {

@@ -44,12 +44,11 @@ type clusterMetrics struct {
 	originFetches   *obs.Counter // origin syntheses a viewer waited on (fallbacks + edge misses)
 	offload         *obs.Gauge   // cluster.origin_offload_ratio, basis points
 
-	coalesced        *obs.Counter // requests served from another request's in-flight body
-	warmDrops        *obs.Counter // warm jobs dropped by the bounded queue
-	prewarms         *obs.Counter // crowd-prior bodies written into edge caches
-	prewarmFetches   *obs.Counter // origin syntheses performed speculatively by the pre-warmer
-	originStreamErrs *obs.Counter // origin-fallback streams that failed (not counted as fetches)
-	originChunkErrs  *obs.Counter // origin-fallback materialized fetches that failed
+	coalesced      *obs.Counter // requests served from another request's in-flight body
+	warmDrops      *obs.Counter // warm jobs dropped by the bounded queue
+	prewarms       *obs.Counter // crowd-prior bodies written into edge caches
+	prewarmFetches *obs.Counter // origin syntheses performed speculatively by the pre-warmer
+	originErrors   *obs.Counter // origin fallbacks that failed (not counted as fetches)
 }
 
 // membership is one immutable snapshot of the routing table. Routing
@@ -155,12 +154,11 @@ func New(origin dash.ChunkSource, opts ...Option) (*Cluster, error) {
 			originFetches:   cfg.obs.Counter("cluster.origin_fetches"),
 			offload:         cfg.obs.Gauge("cluster.origin_offload_ratio"),
 
-			coalesced:        cfg.obs.Counter("cluster.coalesced"),
-			warmDrops:        cfg.obs.Counter("cluster.warm_drops"),
-			prewarms:         cfg.obs.Counter("cluster.prewarms"),
-			prewarmFetches:   cfg.obs.Counter("cluster.prewarm_fetches"),
-			originStreamErrs: cfg.obs.Counter("cluster.origin_stream_errors"),
-			originChunkErrs:  cfg.obs.Counter("cluster.origin_errors"),
+			coalesced:      cfg.obs.Counter("cluster.coalesced"),
+			warmDrops:      cfg.obs.Counter("cluster.warm_drops"),
+			prewarms:       cfg.obs.Counter("cluster.prewarms"),
+			prewarmFetches: cfg.obs.Counter("cluster.prewarm_fetches"),
+			originErrors:   cfg.obs.Counter("cluster.origin_errors"),
 		},
 		copyBufs: obs.NewSizedBufferPool(cfg.obs, "cluster.proxy", proxyBlock, proxyBlock),
 		warmQ:    newWarmQueue(),
@@ -266,6 +264,18 @@ func (c *Cluster) RemoveNode(name string) error {
 	return nil
 }
 
+// Close tears the cluster down: the warm worker stops and every edge
+// retires — listener closed, loopback host deregistered — so nothing
+// the cluster started keeps serving or running. The membership is
+// kept, so Nodes and RemoveNode still work afterwards; a retired node
+// refuses every request and never recovers. Idempotent.
+func (c *Cluster) Close() {
+	c.stopWarms()
+	for _, n := range c.Nodes() {
+		n.retire()
+	}
+}
+
 // Replication reports R, the configured owners per key.
 func (c *Cluster) Replication() int { return c.cfg.replication }
 
@@ -287,37 +297,40 @@ func (c *Cluster) Chunk(ctx context.Context, videoID string, quality, tile, inde
 	c.met.requests.Inc()
 	defer c.updateOffload()
 	key := serve.ChunkKey{Video: videoID, Quality: quality, Tile: tile, Index: index, Layer: layer}
-	if c.coal == nil {
-		return c.walkChunk(ctx, key)
-	}
 	f, role := c.coal.enter(key)
-	switch role {
-	case roleFollow:
-		return c.awaitFlight(ctx, key, f)
-	case roleBypass:
+	if role == roleFollow {
+		if body, err := c.awaitLeader(ctx, f); body != nil || err != nil {
+			return body, err
+		}
+		role = roleBypass
+	}
+	if role == roleBypass {
 		return c.walkChunk(ctx, key)
 	}
 	var body []byte
-	var err error
-	defer func() { c.coal.finish(key, f, body, err) }()
-	body, err = c.walkChunk(ctx, key)
+	defer func() { c.coal.finish(key, f, body) }()
+	body, err := c.walkChunk(ctx, key)
 	return body, err
 }
 
-// awaitFlight is the coalesced follower's path: wait for the leader's
-// body, or give up when the follower's own caller cancels. A leader
-// failure — which includes the leader's caller canceling — must not
-// poison the herd, so on error the follower falls back to its own
-// ranked walk (the edge stores' singleflight still keeps that cheap).
-func (c *Cluster) awaitFlight(ctx context.Context, key serve.ChunkKey, f *routeFlight) ([]byte, error) {
+// awaitLeader is the coalesced follower's wait, shared by both walks:
+// it returns the leader's body, or the follower's own ctx.Err() when
+// its caller gives up first. A leader failure — which includes the
+// leader's caller canceling — must not poison the herd, so when the
+// leader published no body awaitLeader returns neither body nor error,
+// and the follower does its own ranked walk (the edge stores'
+// singleflight still keeps that cheap). A body is published whenever
+// the leader fetched one whole, even if writing it to the leader's own
+// caller then failed.
+func (c *Cluster) awaitLeader(ctx context.Context, f *routeFlight) ([]byte, error) {
 	select {
 	case <-ctx.Done():
 		c.coal.detach(f)
 		return nil, ctx.Err()
 	case <-f.done:
 	}
-	if f.err != nil || f.body == nil {
-		return c.walkChunk(ctx, key)
+	if f.body == nil {
+		return nil, nil
 	}
 	c.met.coalesced.Inc()
 	return f.body, nil
@@ -362,12 +375,21 @@ func (c *Cluster) walkChunk(ctx context.Context, key serve.ChunkKey) ([]byte, er
 		}
 		c.health.observe(id, err)
 	}
+	return c.fetchOrigin(ctx, key)
+}
+
+// fetchOrigin is the no-edge-left fallback of both walks: one
+// materialized origin fetch, whose body the streaming walk writes out
+// and a coalescing leader publishes to its followers — so a herd that
+// reaches the origin still costs one fetch. cluster.origin_fetches
+// counts only fetches that succeeded: a failed or canceled fallback
+// synthesized nothing a viewer got, and counting it would skew the
+// offload ratio, so those land under cluster.origin_errors instead.
+func (c *Cluster) fetchOrigin(ctx context.Context, key serve.ChunkKey) ([]byte, error) {
 	c.met.originFallbacks.Inc()
 	body, err := c.origin.Chunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
 	if err != nil {
-		// A failed or canceled fallback synthesized nothing; counting it
-		// as an origin fetch would skew the offload ratio downward.
-		c.met.originChunkErrs.Inc()
+		c.met.originErrors.Inc()
 		return nil, err
 	}
 	c.met.originFetches.Inc()

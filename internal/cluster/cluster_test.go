@@ -310,37 +310,8 @@ func TestConfigRequiresOrigin(t *testing.T) {
 	if _, err := New(nil, WithNodes(3)); err == nil {
 		t.Fatal("New accepted a nil origin")
 	}
-	if _, err := NewFromConfig(Config{Nodes: 3}); err == nil {
-		t.Fatal("NewFromConfig accepted a config without an origin")
-	}
 	if _, err := New(&countingOrigin{}, WithLoopback()); err == nil {
 		t.Fatal("New accepted a wire form without a catalog")
-	}
-}
-
-// TestNewFromConfigBridge pins the deprecated Config wrapper: a
-// cluster built from the legacy struct behaves exactly like one built
-// with the equivalent options.
-func TestNewFromConfigBridge(t *testing.T) {
-	origin := &countingOrigin{}
-	c, err := NewFromConfig(Config{Nodes: 2, Origin: origin, MaxInFlight: 7,
-		RetryAfter: 2 * time.Second, Clock: sim.NewClock(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.NodeNames(); len(got) != 2 {
-		t.Fatalf("NodeNames = %v, want 2 nodes", got)
-	}
-	if c.Wire() || c.Replication() != 1 {
-		t.Fatalf("legacy bridge changed semantics: wire=%v R=%d", c.Wire(), c.Replication())
-	}
-	n := c.Node("edge-0")
-	if n.maxInFlight != 7 || n.retryAfter != 2*time.Second {
-		t.Fatalf("legacy sizing lost: maxInFlight=%d retryAfter=%v", n.maxInFlight, n.retryAfter)
-	}
-	key := serve.ChunkKey{Video: "vid", Quality: 1, Tile: 2, Index: 3}
-	if got := fetchKey(t, c, key); string(got) != string(originBody(key)) {
-		t.Fatalf("bridge cluster served %q", got)
 	}
 }
 

@@ -16,16 +16,17 @@ import (
 // the router-level singleflight that closes that gap: the first
 // request for a key becomes the flight leader and does the ranked walk;
 // requests arriving while the flight is open attach as followers and
-// are served from the leader's body — teed on the way past on the
-// streaming path, shared directly on the materialized path — without
-// touching an edge or the origin at all.
+// are served from the leader's body — teed on the way past when the
+// leader proxies an edge stream, shared directly when it fetched a
+// whole body (the materialized walk, and the origin fallback of
+// either walk) — without touching an edge or the origin at all.
 //
-// The one body-less case: a streaming leader that reaches its copy
-// loop with no followers attached and no replication targets skips the
-// tee (keeping the warm-path serve allocation-flat), and marks the
-// flight noTee so later arrivals bypass the coalescer and do their own
-// walk. Bypass is safe — the ranked walk is deterministic, so a
-// bypasser lands on the same edge, whose store singleflight (or
+// The one body-less case: a streaming leader that reaches its edge
+// copy loop with no followers attached and no replication targets
+// skips the tee (keeping the warm-path serve allocation-flat), and
+// marks the flight noTee so later arrivals bypass the coalescer and do
+// their own walk. Bypass is safe — the ranked walk is deterministic,
+// so a bypasser lands on the same edge, whose store singleflight (or
 // now-resident cache entry) still keeps the origin cost at one.
 
 // routeRole is the position a request takes relative to a key's
@@ -33,7 +34,7 @@ import (
 type routeRole int
 
 const (
-	// roleLead does the ranked walk and publishes the outcome.
+	// roleLead does the ranked walk and publishes the body.
 	roleLead routeRole = iota
 	// roleFollow waits for the leader's body.
 	roleFollow
@@ -42,19 +43,18 @@ const (
 	roleBypass
 )
 
-// routeFlight is one in-flight fetch of a key at the router. body and
-// err are written by the leader (under the coalescer's mutex) before
-// done closes; followers read them only after <-done, so the channel
-// close is the publication barrier. done is made lazily by the first
+// routeFlight is one in-flight fetch of a key at the router. body is
+// written by the leader (under the coalescer's mutex) before done
+// closes; followers read it only after <-done, so the channel close is
+// the publication barrier. done is made lazily by the first
 // follower — a flight nobody attaches to (the common warm-path case)
 // costs the leader one struct allocation and no channel.
 type routeFlight struct {
 	body []byte
-	err  error
 
 	// done, followers and noTee are guarded by the coalescer's mutex
-	// (body and err are written under it too, but followers may read
-	// them unlocked after <-done). noTee is set by a streaming leader
+	// (body is written under it too, but followers may read it
+	// unlocked after <-done). noTee is set by a streaming leader
 	// the moment it commits to copying without a tee; from then on
 	// followers can never be > 0.
 	done      chan struct{}
@@ -73,7 +73,11 @@ func newCoalescer() *coalescer {
 }
 
 // enter joins or opens the key's flight and reports the caller's role.
+// A nil coalescer (coalescing off) sends every request on its own walk.
 func (co *coalescer) enter(key serve.ChunkKey) (*routeFlight, routeRole) {
+	if co == nil {
+		return nil, roleBypass
+	}
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	if f := co.flights[key]; f != nil {
@@ -91,16 +95,16 @@ func (co *coalescer) enter(key serve.ChunkKey) (*routeFlight, routeRole) {
 	return f, roleLead
 }
 
-// finish publishes the leader's outcome and closes the flight. Every
-// leader must call it exactly once, on every exit path — a leader that
-// panics without finishing would hang its followers forever, so
-// leaders run it from a defer.
-func (co *coalescer) finish(key serve.ChunkKey, f *routeFlight, body []byte, err error) {
+// finish publishes the leader's body — nil when the leader got none —
+// and closes the flight. Every leader must call it exactly once, on
+// every exit path — a leader that panics without finishing would hang
+// its followers forever, so leaders run it from a defer.
+func (co *coalescer) finish(key serve.ChunkKey, f *routeFlight, body []byte) {
 	co.mu.Lock()
 	if co.flights[key] == f {
 		delete(co.flights, key)
 	}
-	f.body, f.err = body, err
+	f.body = body
 	done := f.done
 	co.mu.Unlock()
 	if done != nil {

@@ -222,6 +222,96 @@ func TestWireHerdStreamsColdKeyOnce(t *testing.T) {
 	}
 }
 
+// sizedBlockingOrigin adds the sized streaming pair a serve.Store
+// offers (ChunkLen/ChunkTo) to a blockingOrigin; ChunkTo blocks inside
+// the same synthesis Chunk does.
+type sizedBlockingOrigin struct{ *blockingOrigin }
+
+func (o sizedBlockingOrigin) ChunkLen(videoID string, quality, tile, index int, layer bool) (int, error) {
+	return len(originBody(serve.ChunkKey{Video: videoID, Quality: quality, Tile: tile, Index: index, Layer: layer})), nil
+}
+
+func (o sizedBlockingOrigin) ChunkTo(ctx context.Context, w io.Writer, videoID string, quality, tile, index int, layer bool) (int64, error) {
+	body, err := o.Chunk(ctx, videoID, quality, tile, index, layer)
+	if err != nil {
+		return 0, err
+	}
+	n, err := w.Write(body)
+	return int64(n), err
+}
+
+// TestWireHerdAtOriginFallbackCoalesces: with every edge killed, a
+// wire herd for one cold key lands on the origin fallback. The
+// leader's fetch is published to its flight, so GETs arriving while
+// the origin synthesizes attach to it instead of each paying a
+// fallback of their own — also when the origin offers a sized
+// streaming form. One leader plus three late GETs cost exactly one
+// origin fetch.
+func TestWireHerdAtOriginFallbackCoalesces(t *testing.T) {
+	const late = 3
+	v := wireVideo()
+	key := serve.ChunkKey{Video: v.ID, Quality: 0, Tile: 0, Index: 0}
+	origin := newBlockingOrigin(key)
+	c, err := New(sizedBlockingOrigin{origin}, WithNodes(2), WithLoopback(),
+		WithCatalog(wireCatalog(t, v)), WithClock(sim.NewClock(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, id := range c.NodeNames() {
+		c.KillNode(id)
+	}
+	front := c.FrontDoor()
+	recs := make(chan *httptest.ResponseRecorder, late+1)
+	get := func() { recs <- chunkGET(t, front, key) }
+	go get()
+	<-origin.arrived
+	for i := 0; i < late; i++ {
+		go get()
+	}
+	// Each late GET either attaches to the leader's flight or reaches
+	// the origin on a fallback of its own; release once all have.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		c.coal.mu.Lock()
+		attached := 0
+		if f := c.coal.flights[key]; f != nil {
+			attached = f.followers
+		}
+		c.coal.mu.Unlock()
+		if attached+len(origin.arrived) == late {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("late GETs: %d attached, %d at the origin, want %d in total", attached, len(origin.arrived), late)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(origin.release)
+	want := string(originBody(key))
+	for i := 0; i <= late; i++ {
+		rec := <-recs
+		if rec.Code != http.StatusOK {
+			t.Fatalf("herd GET status %d", rec.Code)
+		}
+		if rec.Body.String() != want {
+			t.Fatalf("herd body %q, want %q", rec.Body.String(), want)
+		}
+		if cl := rec.Header().Get("Content-Length"); cl != fmt.Sprint(len(want)) {
+			t.Fatalf("Content-Length %q, want %d", cl, len(want))
+		}
+	}
+	if got := c.met.originFetches.Value(); got != 1 {
+		t.Fatalf("cluster.origin_fetches = %d, want exactly 1", got)
+	}
+	if got := origin.count(); got != 1 {
+		t.Fatalf("origin saw %d calls, want exactly 1", got)
+	}
+	if got := c.Coalesced(); got != late {
+		t.Fatalf("cluster.coalesced = %d, want exactly %d", got, late)
+	}
+}
+
 // TestCanceledLeaderDoesNotPoisonFollowers: the flight leader's caller
 // cancels mid-synthesis. Followers must not inherit the cancellation —
 // they fall back to their own ranked walk and still get bodies, with
@@ -359,11 +449,10 @@ func (o *failingOrigin) Chunk(ctx context.Context, videoID string, quality, tile
 }
 
 // TestStreamOriginFetchCountsOnSuccessOnly is the accounting
-// regression for the wire fallback: a failed origin stream used to
-// increment cluster.origin_fetches before streamOrigin ran, skewing
+// regression for the wire fallback: a failed origin fetch used to
+// increment cluster.origin_fetches before the fallback ran, skewing
 // the offload ratio and the E23 equalities. Failures must land under
-// cluster.origin_stream_errors; only completed streams count as
-// fetches.
+// cluster.origin_errors; only completed fetches count.
 func TestStreamOriginFetchCountsOnSuccessOnly(t *testing.T) {
 	v := wireVideo()
 	c, err := New(&failingOrigin{}, WithNodes(2), WithLoopback(),
@@ -385,8 +474,8 @@ func TestStreamOriginFetchCountsOnSuccessOnly(t *testing.T) {
 	if got := c.met.originFetches.Value(); got != 0 {
 		t.Fatalf("origin_fetches = %d after a failed stream, want 0", got)
 	}
-	if got := c.met.originStreamErrs.Value(); got != 1 {
-		t.Fatalf("origin_stream_errors = %d, want 1", got)
+	if got := c.met.originErrors.Value(); got != 1 {
+		t.Fatalf("origin_errors = %d, want 1", got)
 	}
 	if req, fetches := c.OffloadCounts(); req != 1 || fetches != 0 {
 		t.Fatalf("OffloadCounts = (%d, %d), want (1, 0)", req, fetches)
@@ -418,8 +507,8 @@ func TestStreamOriginFetchCountedOnSuccess(t *testing.T) {
 	if got := c.met.originFetches.Value(); got != 1 {
 		t.Fatalf("origin_fetches = %d, want 1", got)
 	}
-	if got := c.met.originStreamErrs.Value(); got != 0 {
-		t.Fatalf("origin_stream_errors = %d, want 0", got)
+	if got := c.met.originErrors.Value(); got != 0 {
+		t.Fatalf("origin_errors = %d, want 0", got)
 	}
 }
 
@@ -438,7 +527,7 @@ func TestChunkOriginFallbackCountsOnSuccessOnly(t *testing.T) {
 	if got := c.met.originFetches.Value(); got != 0 {
 		t.Fatalf("origin_fetches = %d after a failed fallback, want 0", got)
 	}
-	if got := c.met.originChunkErrs.Value(); got != 1 {
+	if got := c.met.originErrors.Value(); got != 1 {
 		t.Fatalf("origin_errors = %d, want 1", got)
 	}
 }

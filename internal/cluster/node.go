@@ -56,6 +56,9 @@ type Node struct {
 	rt       atomic.Pointer[wireRuntime]
 
 	accepting atomic.Bool
+	// retired is set once the node is permanently stopped (RemoveNode
+	// or Close); a retired node never re-binds.
+	retired atomic.Bool
 
 	met nodeMetrics
 }
@@ -100,13 +103,13 @@ func newNode(id string, origin dash.ChunkSource, catalog *dash.Catalog,
 	// the last interested caller departs — so a canceled viewer aborts
 	// an origin fetch nobody else wants, without poisoning a body other
 	// viewers are waiting on.
-	n.store = serve.New(serve.WithCtxSynth(func(ctx context.Context, key serve.ChunkKey) ([]byte, error) {
+	n.store = serve.New(func(ctx context.Context, key serve.ChunkKey) ([]byte, error) {
 		n.met.misses.Inc()
 		if onOriginFetch != nil {
 			onOriginFetch()
 		}
 		return origin.Chunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-	}), serve.WithShards(shards), serve.WithBudget(budget))
+	}, serve.StoreConfig{Shards: shards, BudgetBytes: budget})
 	if catalog != nil {
 		n.server = dash.NewServer(catalog, dash.WithObs(reg), dash.WithStore(n))
 	}
@@ -210,7 +213,7 @@ func (n *Node) Kill() {
 // the port cannot be re-taken the node stays unreachable and the
 // health layer keeps routing around it. Idempotent.
 func (n *Node) Recover() {
-	if !n.down.Swap(false) {
+	if n.retired.Load() || !n.down.Swap(false) {
 		return
 	}
 	n.met.up.Set(1)
@@ -220,13 +223,18 @@ func (n *Node) Recover() {
 		}
 	}
 	n.accepting.Store(true)
+	if n.retired.Load() {
+		// retire ran while the listener was coming back up; finish its
+		// work on the runtime it could not see.
+		n.retire()
+	}
 }
 
-// retire permanently stops the node after removal from the membership:
-// listener closed, loopback host deregistered, gauge dropped. Not
-// idempotent-sensitive — the cluster calls it exactly once, after the
-// node left the routing table.
+// retire permanently stops the node — after its removal from the
+// membership, or at Close: listener closed, loopback host
+// deregistered, gauge dropped. Idempotent.
 func (n *Node) retire() {
+	n.retired.Store(true)
 	n.accepting.Store(false)
 	n.down.Store(true)
 	n.met.up.Set(0)

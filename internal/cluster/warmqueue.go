@@ -231,11 +231,11 @@ func (c *Cluster) DrainWarms() {
 	<-w
 }
 
-// Close stops the warm worker. Queued jobs are abandoned — Close is
-// the cluster's teardown, and a warm that never lands only costs a
+// stopWarms stops the warm worker. Queued jobs are abandoned — Close
+// is the cluster's teardown, and a warm that never lands only costs a
 // future cache miss. Idempotent; safe to call on a cluster whose
 // worker never started.
-func (c *Cluster) Close() {
+func (c *Cluster) stopWarms() {
 	q := c.warmQ
 	q.mu.Lock()
 	if q.stopped {

@@ -44,58 +44,46 @@ func (f streamFront) StreamChunk(ctx context.Context, w http.ResponseWriter, vid
 // to origin); a failure mid-body is unrecoverable — bytes are already
 // on the wire — so it feeds the detector and aborts the response.
 // With coalescing on, a request arriving while the same key is in
-// flight is served from the flight's teed body instead of walking.
+// flight is served from the flight's body — teed from the edge, or
+// fetched from the origin — instead of walking.
 func (c *Cluster) streamChunk(ctx context.Context, w http.ResponseWriter, videoID string, quality, tile, index int, layer bool) (int64, error) {
 	c.met.requests.Inc()
 	defer c.updateOffload()
 	key := serve.ChunkKey{Video: videoID, Quality: quality, Tile: tile, Index: index, Layer: layer}
-	if c.coal == nil {
-		n, _, err := c.walkStream(ctx, w, key, nil)
-		return n, err
-	}
 	f, role := c.coal.enter(key)
-	switch role {
-	case roleFollow:
-		return c.serveFlightStream(ctx, w, key, f)
-	case roleBypass:
+	if role == roleFollow {
+		body, err := c.awaitLeader(ctx, f)
+		if err != nil {
+			return 0, err
+		}
+		if body != nil {
+			return writeBody(w, body)
+		}
+		role = roleBypass
+	}
+	if role == roleBypass {
 		n, _, err := c.walkStream(ctx, w, key, nil)
 		return n, err
 	}
 	var body []byte
-	var n int64
-	var err error
-	defer func() { c.coal.finish(key, f, body, err) }()
-	n, body, err = c.walkStream(ctx, w, key, f)
+	defer func() { c.coal.finish(key, f, body) }()
+	n, body, err := c.walkStream(ctx, w, key, f)
 	return n, err
 }
 
-// serveFlightStream is the coalesced follower's streaming path: wait
-// for the leader's teed body and write it out whole. A failed leader
-// (including one whose own caller canceled) must not poison the herd,
-// so on error — or when the leader committed to the no-tee form before
-// this follower could be refused — the follower runs its own walk.
-func (c *Cluster) serveFlightStream(ctx context.Context, w http.ResponseWriter, key serve.ChunkKey, f *routeFlight) (int64, error) {
-	select {
-	case <-ctx.Done():
-		c.coal.detach(f)
-		return 0, ctx.Err()
-	case <-f.done:
-	}
-	if f.err != nil || f.body == nil {
-		n, _, err := c.walkStream(ctx, w, key, nil)
-		return n, err
-	}
-	c.met.coalesced.Inc()
+// writeBody serves a whole body with its Content-Length declared.
+func writeBody(w http.ResponseWriter, body []byte) (int64, error) {
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(f.body)))
-	wn, err := w.Write(f.body)
-	return int64(wn), err
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	n, err := w.Write(body)
+	return int64(n), err
 }
 
 // walkStream is the streaming ranked walk. When the caller is a
-// coalescing flight leader (fl != nil) the served body is teed on the
+// coalescing flight leader (fl != nil) an edge's body is teed on the
 // way past and returned for publication to the flight's followers;
-// otherwise the body slice is nil unless replication needed it.
+// otherwise the body slice is nil unless replication needed it. The
+// origin fallback always returns its body.
 func (c *Cluster) walkStream(ctx context.Context, w http.ResponseWriter, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
 	m := c.mem.Load()
 	ranked := Rank(key, m.ids)
@@ -130,8 +118,12 @@ func (c *Cluster) walkStream(ctx context.Context, w http.ResponseWriter, key ser
 		c.enqueuePrewarms(key)
 		return written, body, nil
 	}
-	c.met.originFallbacks.Inc()
-	return c.streamOrigin(ctx, w, key, fl)
+	body, err := c.fetchOrigin(ctx, key)
+	if err != nil {
+		return 0, nil, err
+	}
+	n, err := writeBody(w, body)
+	return n, body, err
 }
 
 // bodySink accumulates a teed body into a pre-sized buffer: the
@@ -193,58 +185,6 @@ func (c *Cluster) proxyBody(w http.ResponseWriter, st dash.ChunkStream, targets 
 		c.enqueueWarm(warmJob{key: key, body: warm.buf, targets: targets})
 	}
 	return n, warm.buf, nil
-}
-
-// chunkSizer and chunkStreamerTo are the origin's optional streaming
-// seam (serve.Store satisfies both): size without synthesis, then a
-// single write from the sealed allocation.
-type chunkSizer interface {
-	ChunkLen(videoID string, quality, tile, index int, layer bool) (int, error)
-}
-
-type chunkStreamerTo interface {
-	ChunkTo(ctx context.Context, w io.Writer, videoID string, quality, tile, index int, layer bool) (int64, error)
-}
-
-// streamOrigin is the no-edge-left fallback of the streaming path.
-// When the origin exposes the sized streaming seam — and no coalesced
-// follower needs the body whole — the body streams from the origin's
-// own sealed allocation with Content-Length declared up front;
-// otherwise the plain ChunkSource form serves (and publishes to the
-// flight's followers). cluster.origin_fetches counts only streams that
-// completed: a failed or canceled fallback synthesized nothing a
-// viewer got, and counting it would skew the offload ratio, so those
-// land under cluster.origin_stream_errors instead.
-func (c *Cluster) streamOrigin(ctx context.Context, w http.ResponseWriter, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
-	w.Header().Set("Content-Type", "application/octet-stream")
-	sizer, hasSize := c.origin.(chunkSizer)
-	streamer, hasStream := c.origin.(chunkStreamerTo)
-	if hasSize && hasStream && (fl == nil || c.coal.tryNoTee(fl)) {
-		n, err := sizer.ChunkLen(key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-		if err != nil {
-			c.met.originStreamErrs.Inc()
-			return 0, nil, err
-		}
-		w.Header().Set("Content-Length", strconv.Itoa(n))
-		wn, err := streamer.ChunkTo(ctx, w, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-		if err != nil {
-			c.met.originStreamErrs.Inc()
-			return wn, nil, err
-		}
-		c.met.originFetches.Inc()
-		c.enqueuePrewarms(key)
-		return wn, nil, nil
-	}
-	body, err := c.origin.Chunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-	if err != nil {
-		c.met.originStreamErrs.Inc()
-		return 0, nil, err
-	}
-	c.met.originFetches.Inc()
-	c.enqueuePrewarms(key)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	wn, err := w.Write(body)
-	return int64(wn), body, err
 }
 
 // fetchWire serves the materialized ChunkSource contract over the

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -449,5 +450,60 @@ func TestWireClusterChaosUnderLoad(t *testing.T) {
 	}
 	if got := c.Node(dead).Requests() + c.Node(dead).Misses(); got == 0 {
 		t.Fatal("recovered node never served again")
+	}
+}
+
+// TestCloseRetiresWireEdges: Close stops every edge process, not just
+// the warm worker. Afterwards no edge address accepts a dial and the
+// goroutines the cluster started are gone, while the membership stays
+// readable and removable — the way a harness tears a cluster down.
+func TestCloseRetiresWireEdges(t *testing.T) {
+	base := runtime.NumGoroutine()
+	v := wireVideo()
+	c, err := New(&countingOrigin{}, WithNodes(3), WithWire(true),
+		WithCatalog(wireCatalog(t, v)), WithClock(sim.NewClock(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Serve a few chunks so edge connections are open at Close.
+	for _, key := range wireKeys(v)[:6] {
+		if rec := chunkGET(t, c.FrontDoor(), key); rec.Code != http.StatusOK {
+			t.Fatalf("GET %v: status %d", key, rec.Code)
+		}
+	}
+	var addrs []string
+	for _, n := range c.Nodes() {
+		addrs = append(addrs, n.Addr())
+	}
+	c.Close()
+	c.Close() // idempotent
+
+	for _, addr := range addrs {
+		if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+			conn.Close()
+			t.Errorf("edge %s still accepts dials after Close", addr)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after Close, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := len(c.Nodes()); got != 3 {
+		t.Fatalf("Nodes after Close = %d, want the 3 members kept", got)
+	}
+	for _, n := range c.Nodes() {
+		n.Recover() // a retired node must stay down
+		if err := c.RemoveNode(n.ID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, addr := range addrs {
+		if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+			conn.Close()
+			t.Errorf("edge %s accepts dials after Recover on a closed cluster", addr)
+		}
 	}
 }

@@ -43,9 +43,10 @@ func breakerCycle(trs []transport.BreakerTransition) (opened, reclosed bool) {
 func TestChaosBroadcastSurvivesScriptedPlan(t *testing.T) {
 	reg := obs.NewRegistry()
 	plan := faults.MustParse("outage:uplink:8s:4s,cliff:uplink:16s:4s:1M")
-	run := live.MeasureE2EResilient(5, live.Facebook,
-		netem.Constant(8e6), netem.Constant(10e6), 30*time.Second,
-		live.DegradeConfig{
+	run := live.Measure(5, live.Facebook, live.Opts{
+		Duration: 30 * time.Second,
+		UpTrace:  netem.Constant(8e6), DownTrace: netem.Constant(10e6),
+		Degrade: &live.DegradeConfig{
 			Breaker: transport.BreakerConfig{FailureThreshold: 2, Cooldown: 2 * time.Second},
 			Plan:    live.HorizonPlan{SpanDeg: 180},
 			ArmFaults: func(clock *sim.Clock, upload *netem.Path) {
@@ -54,7 +55,8 @@ func TestChaosBroadcastSurvivesScriptedPlan(t *testing.T) {
 				}
 			},
 			Obs: reg,
-		})
+		},
+	})
 
 	opened, reclosed := breakerCycle(run.Transitions)
 	if !opened || !reclosed {

@@ -33,8 +33,8 @@ func TestResilientBroadcastDegradesAcrossUplinkOutage(t *testing.T) {
 			}
 		},
 	}
-	run := MeasureE2EResilient(7, Facebook, netem.Constant(8e6), netem.Constant(10e6),
-		30*time.Second, cfg)
+	run := Measure(7, Facebook, Opts{Duration: 30 * time.Second,
+		UpTrace: netem.Constant(8e6), DownTrace: netem.Constant(10e6), Degrade: &cfg})
 
 	opened, reclosed := breakerCycle(run.Transitions)
 	if !opened {
@@ -59,8 +59,8 @@ func TestResilientBroadcastDegradesAcrossUplinkOutage(t *testing.T) {
 }
 
 func TestResilientBroadcastCleanUplinkStaysPristine(t *testing.T) {
-	run := MeasureE2EResilient(7, Facebook, netem.Constant(8e6), netem.Constant(10e6),
-		20*time.Second, DegradeConfig{})
+	run := Measure(7, Facebook, Opts{Duration: 20 * time.Second,
+		UpTrace: netem.Constant(8e6), DownTrace: netem.Constant(10e6), Degrade: &DegradeConfig{}})
 	if len(run.Transitions) != 0 {
 		t.Fatalf("breaker moved on a healthy uplink: %+v", run.Transitions)
 	}
@@ -79,16 +79,17 @@ func TestResilientFallbackShedsUploadBytes(t *testing.T) {
 	// Same outage, two horizons: the 120° fallback queues less during the
 	// blackout than uploading the full panorama, so it should never skip
 	// more segments.
-	measure := func(spanDeg float64) ResilientRun {
+	measure := func(spanDeg float64) Measurement {
 		plan := faults.MustParse("outage:uplink:8s:6s")
-		return MeasureE2EResilient(7, Facebook, netem.Constant(4e6), netem.Constant(10e6),
-			30*time.Second, DegradeConfig{
+		return Measure(7, Facebook, Opts{Duration: 30 * time.Second,
+			UpTrace: netem.Constant(4e6), DownTrace: netem.Constant(10e6),
+			Degrade: &DegradeConfig{
 				Breaker: transport.BreakerConfig{FailureThreshold: 2},
 				Plan:    HorizonPlan{SpanDeg: spanDeg},
 				ArmFaults: func(clock *sim.Clock, upload *netem.Path) {
 					plan.Apply(clock, upload)
 				},
-			})
+			}})
 	}
 	narrow := measure(120)
 	full := measure(360)
@@ -102,14 +103,15 @@ func TestResilientFallbackShedsUploadBytes(t *testing.T) {
 }
 
 func TestResilientRunIsDeterministic(t *testing.T) {
-	measure := func() ResilientRun {
+	measure := func() Measurement {
 		plan := faults.MustParse("cliff:uplink:5s:10s:500k,outage:uplink:20s:2s")
-		return MeasureE2EResilient(11, Facebook, netem.Constant(6e6), netem.Constant(10e6),
-			30*time.Second, DegradeConfig{
+		return Measure(11, Facebook, Opts{Duration: 30 * time.Second,
+			UpTrace: netem.Constant(6e6), DownTrace: netem.Constant(10e6),
+			Degrade: &DegradeConfig{
 				ArmFaults: func(clock *sim.Clock, upload *netem.Path) {
 					plan.Apply(clock, upload)
 				},
-			})
+			}})
 	}
 	a, b := measure(), measure()
 	if a.Result != b.Result {

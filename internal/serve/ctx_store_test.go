@@ -10,14 +10,14 @@ import (
 )
 
 // TestCtxStoreCancelAbortsLoneFlight is the cancellation contract that
-// motivated NewCtxStore: when the only caller interested in a cold key
+// motivated the per-flight context: when the only caller interested in a cold key
 // departs, the flight's context is canceled and the synthesis aborts
 // instead of completing into the void. Before the context-aware store,
 // the miss path ran on context.Background and this synth hung forever.
 func TestCtxStoreCancelAbortsLoneFlight(t *testing.T) {
 	entered := make(chan struct{})
 	aborted := make(chan error, 1)
-	st := NewCtxStore(func(ctx context.Context, k ChunkKey) ([]byte, error) {
+	st := New(func(ctx context.Context, k ChunkKey) ([]byte, error) {
 		close(entered)
 		<-ctx.Done()
 		aborted <- ctx.Err()
@@ -57,7 +57,7 @@ func TestCtxStoreFlightSurvivesOneCancel(t *testing.T) {
 	release := make(chan struct{})
 	want := bytes.Repeat([]byte{0xcd}, 256)
 	var flightCanceled atomic.Bool
-	st := NewCtxStore(func(ctx context.Context, k ChunkKey) ([]byte, error) {
+	st := New(func(ctx context.Context, k ChunkKey) ([]byte, error) {
 		close(entered)
 		select {
 		case <-ctx.Done():
@@ -106,7 +106,7 @@ func TestCtxStoreRetryAfterAbandonStartsFresh(t *testing.T) {
 	var calls atomic.Int32
 	entered := make(chan struct{})
 	want := []byte("fresh")
-	st := NewCtxStore(func(ctx context.Context, k ChunkKey) ([]byte, error) {
+	st := New(func(ctx context.Context, k ChunkKey) ([]byte, error) {
 		if calls.Add(1) == 1 {
 			close(entered)
 			<-ctx.Done()
@@ -144,5 +144,62 @@ func TestCtxStoreRetryAfterAbandonStartsFresh(t *testing.T) {
 	}
 	if got := calls.Load(); got < 2 {
 		t.Fatalf("synth ran %d times, want a fresh second run", got)
+	}
+}
+
+// TestAbandonedFlightCachesOnce: a synth that ignores cancellation
+// keeps running after its lone caller leaves, while a retry starts a
+// fresh flight that caches the key first. When the abandoned flight
+// finally completes it must not insert the key a second time — a
+// duplicate LRU entry would double-count the shard's bytes and later
+// evict the live entry's map slot.
+func TestAbandonedFlightCachesOnce(t *testing.T) {
+	var calls atomic.Int32
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	want := bytes.Repeat([]byte{0xef}, 128)
+	st := New(func(_ context.Context, k ChunkKey) ([]byte, error) {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		return want, nil
+	}, StoreConfig{Shards: 1})
+
+	k := key(4)
+	ctx, cancel := context.WithCancel(context.Background())
+	first := make(chan error, 1)
+	go func() {
+		_, err := st.Get(ctx, k)
+		first <- err
+	}()
+	<-entered
+	cancel()
+	// Wait for the departure to deregister the flight.
+	sh := st.shard(k)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		sh.mu.Lock()
+		_, open := sh.inflight[k]
+		sh.mu.Unlock()
+		if !open {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("abandoned flight never deregistered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// This Get leads a fresh flight and caches the key.
+	if _, err := st.Get(context.Background(), k); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	<-first
+	if got := calls.Load(); got != 2 {
+		t.Fatalf("synth ran %d times, want 2", got)
+	}
+	if st.Len() != 1 || st.Bytes() != int64(len(want)) {
+		t.Fatalf("abandoned flight re-inserted the key: Len=%d Bytes=%d, want 1 entry of %d bytes", st.Len(), st.Bytes(), len(want))
 	}
 }

@@ -7,29 +7,29 @@ import (
 	"hash/crc32"
 	"sync"
 	"testing"
-
-	"sperke/internal/obs"
 )
 
-// appendSynthFor builds a deterministic AppendSynth whose output is a
-// pure function of the key, so tests can recompute the expected body.
-func appendSynthFor(size int) AppendSynth {
-	return func(dst []byte, k ChunkKey) ([]byte, error) {
+// synthFor builds a deterministic Synth whose output is a pure
+// function of the key, so tests can recompute the expected body. Each
+// body comes back with spare capacity, which the store must clip.
+func synthFor(size int) Synth {
+	return func(_ context.Context, k ChunkKey) ([]byte, error) {
 		b := byte(k.Index*31 + k.Tile*7 + k.Quality)
-		for i := 0; i < size; i++ {
-			dst = append(dst, b+byte(i))
+		body := make([]byte, size, size+64)
+		for i := range body {
+			body[i] = b + byte(i)
 		}
-		return dst, nil
+		return body, nil
 	}
 }
 
-// TestStoreBodiesSealed is the PR 5 aliasing regression test: the
-// cache hands out sealed exact-size copies, so a caller appending to a
-// returned body reallocates instead of scribbling over the next
-// reader's bytes — and the pooled scratch the miss path built into
-// never aliases what Get returns.
+// TestStoreBodiesSealed is the aliasing regression test: the cache
+// hands out bodies whose capacity is clipped to their length, so a
+// caller appending to a returned body reallocates instead of
+// scribbling over the next reader's bytes — even when the synth's
+// slice had spare capacity.
 func TestStoreBodiesSealed(t *testing.T) {
-	st := NewAppendStore(appendSynthFor(512), StoreConfig{Shards: 2, BudgetBytes: 1 << 20})
+	st := New(synthFor(512), StoreConfig{Shards: 2, BudgetBytes: 1 << 20})
 	k := key(3)
 	body, err := st.Get(context.Background(), k)
 	if err != nil {
@@ -53,10 +53,8 @@ func TestStoreBodiesSealed(t *testing.T) {
 		t.Fatal("cached body changed after caller append")
 	}
 
-	// The cold build went through pooled scratch; a second key must not
-	// alias the first body's memory (the first is sealed, the scratch
-	// recycled). Mutating the scratch-built second body's backing array
-	// through append must leave the first intact.
+	// A second key must not alias the first body's memory: appending
+	// through the second body must leave the first intact.
 	b2, err := st.Get(context.Background(), key(4))
 	if err != nil {
 		t.Fatal(err)
@@ -68,20 +66,20 @@ func TestStoreBodiesSealed(t *testing.T) {
 }
 
 // TestConcurrentReadersStableChecksums hammers a store small enough to
-// evict constantly (so the scratch pool recycles under load) with
+// evict constantly (so bodies are synthesized and dropped under load) with
 // parallel readers, checksumming every body against its expected
 // value. Run under -race this is the aliasing smoking gun: any reader
-// observing a body mid-recycle fails the checksum or trips the race
-// detector.
+// observing a body being rewritten fails the checksum or trips the
+// race detector.
 func TestConcurrentReadersStableChecksums(t *testing.T) {
 	const bodySize = 1024
-	synth := appendSynthFor(bodySize)
+	synth := synthFor(bodySize)
 	// Budget holds only ~8 of 64 keys: constant eviction + resynthesis.
-	st := NewAppendStore(synth, StoreConfig{Shards: 4, BudgetBytes: 8 * bodySize})
+	st := New(synth, StoreConfig{Shards: 4, BudgetBytes: 8 * bodySize})
 
 	wantSum := make(map[ChunkKey]uint32)
 	for i := 0; i < 64; i++ {
-		body, err := synth(nil, key(i))
+		body, err := synth(context.Background(), key(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,32 +113,10 @@ func TestConcurrentReadersStableChecksums(t *testing.T) {
 	}
 }
 
-// TestAppendStoreMatchesPlainStore: routing synthesis through pooled
-// scratch and sealing must not change a single byte versus the plain
-// Synth path.
-func TestAppendStoreMatchesPlainStore(t *testing.T) {
-	as := appendSynthFor(256)
-	plain := NewStore(func(k ChunkKey) ([]byte, error) { return as(nil, k) }, StoreConfig{Shards: 2})
-	pooled := NewAppendStore(as, StoreConfig{Shards: 2})
-	for i := 0; i < 8; i++ {
-		a, err := plain.Get(context.Background(), key(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := pooled.Get(context.Background(), key(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("key %d: pooled body differs from plain", i)
-		}
-	}
-}
-
 // TestWarmHitZeroAlloc pins the warm path: a cache hit performs no
 // allocations at all.
 func TestWarmHitZeroAlloc(t *testing.T) {
-	st := NewAppendStore(appendSynthFor(512), StoreConfig{Shards: 2, BudgetBytes: 1 << 20})
+	st := New(synthFor(512), StoreConfig{Shards: 2, BudgetBytes: 1 << 20})
 	ctx := context.Background()
 	k := key(1)
 	if _, err := st.Get(ctx, k); err != nil {
@@ -153,57 +129,5 @@ func TestWarmHitZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm Get: %v allocs/op, want 0", allocs)
-	}
-}
-
-// TestScratchPoolRecycles reads the pool's own counters: the first
-// miss mints a buffer, and later misses recycle it. sync.Pool may shed
-// a Put (GC, or the race detector's deliberate random drops), so
-// recycling is asserted as "a hit within a few cold builds", not on
-// the second one.
-func TestScratchPoolRecycles(t *testing.T) {
-	reg := obs.NewRegistry()
-	st := NewAppendStore(appendSynthFor(128), StoreConfig{Shards: 1, BudgetBytes: 1 << 20, Obs: reg})
-	ctx := context.Background()
-	if _, err := st.Get(ctx, key(0)); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("serve.store.pool_misses").Value(); got != 1 {
-		t.Fatalf("after first cold build: pool_misses = %d, want 1", got)
-	}
-	for i := 1; i < 32 && reg.Counter("serve.store.pool_hits").Value() == 0; i++ {
-		if _, err := st.Get(ctx, key(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if reg.Counter("serve.store.pool_hits").Value() == 0 {
-		t.Fatal("no pool hit across 32 cold builds")
-	}
-}
-
-// TestAppendSynthErrorReturnsScratch: a failed synthesis still repays
-// the pool and caches nothing. Only the error path ever Puts here, so
-// a later pool hit proves the repayment; sync.Pool may shed a Put
-// (GC, race-detector drops), hence the retry loop.
-func TestAppendSynthErrorReturnsScratch(t *testing.T) {
-	reg := obs.NewRegistry()
-	boom := fmt.Errorf("boom")
-	st := NewAppendStore(func(dst []byte, k ChunkKey) ([]byte, error) {
-		return dst, boom
-	}, StoreConfig{Shards: 1, Obs: reg})
-	ctx := context.Background()
-	if _, err := st.Get(ctx, key(0)); err == nil {
-		t.Fatal("error not propagated")
-	}
-	if st.Contains(key(0)) {
-		t.Fatal("failed synthesis cached")
-	}
-	for i := 1; i < 32 && reg.Counter("serve.store.pool_hits").Value() == 0; i++ {
-		if _, err := st.Get(ctx, key(i)); err == nil {
-			t.Fatal("error not propagated")
-		}
-	}
-	if reg.Counter("serve.store.pool_hits").Value() == 0 {
-		t.Fatal("scratch not recycled after error path: no pool hit across 32 failed builds")
 	}
 }

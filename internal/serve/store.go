@@ -6,10 +6,12 @@
 //     keyed by FNV-1a of (video, quality, tile, layer, index), each with
 //     its own LRU list and a slice of the global byte budget, plus
 //     singleflight de-duplication so a thundering herd of cold requests
-//     for the same chunk synthesizes its body exactly once. Cached
-//     bodies are sealed exact-size copies served read-only; misses can
-//     build through pooled scratch (NewAppendStore) so the cold path
-//     allocates only what the cache retains.
+//     for the same chunk synthesizes its body exactly once. A miss runs
+//     the store's one Synth (see New); the slice it returns is cached
+//     as-is, capacity clipped to length, and served read-only. The
+//     catalog store (NewCatalogStore) streams each miss into an
+//     exact-size buffer, so the cold path allocates only what the
+//     cache retains.
 //
 //   - Engine, a worker-pool session driver: K simulated viewers (each a
 //     core.Session, optionally doubled by a dash.Client fetching the
@@ -27,7 +29,6 @@ import (
 	"container/list"
 	"context"
 	"fmt"
-	"io"
 	"sync"
 
 	"sperke/internal/obs"
@@ -80,52 +81,15 @@ func (k ChunkKey) hash() uint64 {
 	return h
 }
 
-// Synth produces a chunk body for a key on a cache miss. It must be
-// pure: the same key always yields the same bytes, so a cached body is
-// indistinguishable from a fresh one. The store seals the result into
-// an exact-size private copy before caching, so a Synth may retain or
-// reuse the slice it returned.
-type Synth func(key ChunkKey) ([]byte, error)
-
-// AppendSynth is the allocation-light miss path: it appends the chunk
-// body for key to dst (typically pooled scratch owned by the store) and
-// returns the extended slice, or dst unchanged on error. Like Synth it
-// must be pure. The store copies the built bytes out of dst before
-// reusing it, so implementations need no defensive copies.
-type AppendSynth func(dst []byte, key ChunkKey) ([]byte, error)
-
-// WriterSynth is the zero-materialization miss path: Size reports the
-// exact byte length of a key's body and Write streams those bytes into
-// w. The store allocates the sealed cache copy up front at exactly
-// Size bytes and streams straight into it — no scratch buffer, no
-// post-build copy, one body-sized allocation per miss (the bytes the
-// cache retains). Both functions must be pure, and Write must emit
-// exactly Size bytes; a mismatch fails the Get rather than caching a
-// half-built body.
-type WriterSynth struct {
-	Size  func(key ChunkKey) (int, error)
-	Write func(w io.Writer, key ChunkKey) error
-}
-
-// CtxSynth is the cancellation-aware miss path: like Synth it must be
-// pure on success (the same key always yields the same bytes), but it
-// observes ctx and may abort early with ctx.Err() when every caller
-// sharing the synthesis has departed. The store runs each flight on
-// its own context (see newFlightCtx) so one canceled viewer cannot
-// poison the body other viewers are waiting on: the flight is canceled
-// only when its interest count — leader plus waiters — drops to zero.
-type CtxSynth func(ctx context.Context, key ChunkKey) ([]byte, error)
-
-// CtxWriterSynth combines the writer-first and cancellation-aware miss
-// paths: Size reports the exact body length, Write streams it on the
-// flight's shared context (see CtxSynth for the cancellation contract,
-// WriterSynth for the sizing one). Misses stream straight into the
-// exact-size sealed allocation and abort mid-stream when the last
-// interested caller departs.
-type CtxWriterSynth struct {
-	Size  func(key ChunkKey) (int, error)
-	Write func(ctx context.Context, w io.Writer, key ChunkKey) error
-}
+// Synth produces the chunk body for a key on a cache miss. It must be
+// pure on success: the same key always yields the same bytes, so a
+// cached body is indistinguishable from a fresh one. The store caches
+// the returned slice as-is — no copy — so ownership passes to the
+// store: the synth must never mutate (or reuse the backing array of) a
+// slice it has returned. A synth may observe ctx and abort early with
+// ctx.Err(); the store cancels it only when every caller sharing the
+// synthesis has departed (see Get).
+type Synth func(ctx context.Context, key ChunkKey) ([]byte, error)
 
 // StoreConfig tunes a Store. The zero value gives 16 shards and a
 // 256 MiB budget with no metrics.
@@ -145,17 +109,17 @@ type StoreConfig struct {
 
 // flight is one in-progress synthesis; concurrent callers for the same
 // key wait on done instead of synthesizing again. interest counts the
-// callers — leader plus waiters — still wanting the result; on a
-// context-aware store each departure decrements it under the shard
-// lock, and the flight's own context is canceled when it reaches zero
-// (see Store.abandon).
+// callers — leader plus waiters — still wanting the result; each
+// departure decrements it under the shard lock, and a flight with its
+// own context is canceled when it reaches zero (see Store.abandon).
 type flight struct {
 	done     chan struct{}
 	body     []byte
 	err      error
 	interest int
-	ctx      context.Context
-	cancel   context.CancelFunc
+	// cancel aborts the flight's own context; nil when the flight runs
+	// on its leader's context (see Get).
+	cancel context.CancelFunc
 }
 
 // newFlightCtx mints the context a synthesis flight runs on. It is a
@@ -202,199 +166,19 @@ type Store struct {
 	shards []*shard
 	mask   uint64
 	synth  Synth
-	// appendSynth, when set, replaces synth: misses build into pooled
-	// scratch and only the sealed copy survives the synthesis.
-	appendSynth AppendSynth
-	// writerSynth, when set, replaces both: misses stream directly into
-	// the exact-size sealed buffer.
-	writerSynth WriterSynth
-	// ctxSynth, when set, is the cancellation-aware miss path: each
-	// flight runs on its own context, canceled when every sharing
-	// caller has departed.
-	ctxSynth CtxSynth
-	// ctxWriter, when set, is the cancellation-aware writer-first miss
-	// path: per-flight context and exact-size streaming combined.
-	ctxWriter CtxWriterSynth
-	// scratch recycles miss-path build buffers
-	// (serve.store.pool_hits / pool_misses).
-	scratch *obs.BufferPool
-	met     storeMetrics
+	// size, when set, reports a key's exact body length without
+	// synthesizing it — the size model NewCatalogStore carries and
+	// ChunkLen serves.
+	size func(ChunkKey) (int, error)
+	met  storeMetrics
 }
 
-// ctxAware reports whether misses run on a per-flight context.
-func (s *Store) ctxAware() bool {
-	return s.ctxSynth != nil || s.ctxWriter.Write != nil
-}
-
-// maxPooledScratch caps recycled scratch capacity; larger buffers are
-// dropped on Put instead of pinning memory.
-const maxPooledScratch = 8 << 20
-
-// Option configures a Store built by New. Exactly one synthesis option
-// (WithSynth, WithAppendSynth, WithWriterSynth, WithCtxSynth or
-// WithCtxWriterSynth) must be supplied; the sizing options are
-// orthogonal and optional. Nil options are ignored.
-type Option func(*storeOptions)
-
-type storeOptions struct {
-	cfg         StoreConfig
-	synth       Synth
-	appendSynth AppendSynth
-	writerSynth WriterSynth
-	ctxSynth    CtxSynth
-	ctxWriter   CtxWriterSynth
-}
-
-// WithSynth sets the plain miss path: build the whole body, let the
-// store seal a private exact-size copy.
-func WithSynth(synth Synth) Option {
-	return func(o *storeOptions) { o.synth = synth }
-}
-
-// WithAppendSynth sets the allocation-light miss path: build into the
-// store's pooled scratch so only the sealed copy survives a miss.
-func WithAppendSynth(synth AppendSynth) Option {
-	return func(o *storeOptions) { o.appendSynth = synth }
-}
-
-// WithWriterSynth sets the writer-first miss path: misses allocate the
-// sealed body at its exact final size and stream into it, skipping
-// both the scratch buffer and the sealing copy of the append path.
-// This is the writer-first single source of truth — the same Write
-// that streams a body to a socket fills the cache, so cached and
-// streamed bytes cannot diverge.
-func WithWriterSynth(ws WriterSynth) Option {
-	return func(o *storeOptions) { o.writerSynth = ws }
-}
-
-// WithCtxSynth sets the cancellation-aware miss path. Misses
-// synthesize on a per-flight context: the flight is shared
-// singleflight-style by every concurrent caller for the key, and is
-// canceled only when the last of them departs, so a canceled viewer
-// aborts an origin fetch nobody else wants without poisoning a body
-// other viewers are waiting on.
-func WithCtxSynth(synth CtxSynth) Option {
-	return func(o *storeOptions) { o.ctxSynth = synth }
-}
-
-// WithCtxWriterSynth sets the combined miss path: per-flight
-// cancellation and exact-size streaming in one synthesizer.
-func WithCtxWriterSynth(ws CtxWriterSynth) Option {
-	return func(o *storeOptions) { o.ctxWriter = ws }
-}
-
-// WithShards sets the shard count (rounded up to a power of two);
-// values <= 0 keep the default of 16.
-func WithShards(n int) Option {
-	return func(o *storeOptions) { o.cfg.Shards = n }
-}
-
-// WithBudget sets the global cache budget in bytes, partitioned evenly
-// across shards; values <= 0 keep the default of 256 MiB.
-func WithBudget(b int64) Option {
-	return func(o *storeOptions) { o.cfg.BudgetBytes = b }
-}
-
-// WithObs wires the store's serve.store.* instruments into a registry.
-func WithObs(r *obs.Registry) Option {
-	return func(o *storeOptions) { o.cfg.Obs = r }
-}
-
-// withStoreConfig applies a legacy StoreConfig wholesale — the bridge
-// the deprecated constructors ride.
-func withStoreConfig(cfg StoreConfig) Option {
-	return func(o *storeOptions) { o.cfg = cfg }
-}
-
-// New builds a store from functional options. Exactly one synthesis
-// option selects the miss path; supplying none (or several) is a
-// programming error and panics, matching the legacy constructors'
-// nil-synth behavior.
-func New(opts ...Option) *Store {
-	var o storeOptions
-	for _, opt := range opts {
-		if opt != nil {
-			opt(&o)
-		}
-	}
-	set := 0
-	if o.synth != nil {
-		set++
-	}
-	if o.appendSynth != nil {
-		set++
-	}
-	if o.writerSynth.Size != nil || o.writerSynth.Write != nil {
-		if o.writerSynth.Size == nil || o.writerSynth.Write == nil {
-			panic("serve: WithWriterSynth needs both Size and Write")
-		}
-		set++
-	}
-	if o.ctxSynth != nil {
-		set++
-	}
-	if o.ctxWriter.Size != nil || o.ctxWriter.Write != nil {
-		if o.ctxWriter.Size == nil || o.ctxWriter.Write == nil {
-			panic("serve: WithCtxWriterSynth needs both Size and Write")
-		}
-		set++
-	}
-	if set != 1 {
-		panic("serve: New needs exactly one synthesis option (WithSynth, WithAppendSynth, WithWriterSynth, WithCtxSynth or WithCtxWriterSynth)")
-	}
-	s := newStore(o.synth, o.appendSynth, o.cfg)
-	s.writerSynth = o.writerSynth
-	s.ctxSynth = o.ctxSynth
-	s.ctxWriter = o.ctxWriter
-	return s
-}
-
-// NewStore builds a store over a synthesis function.
-//
-// Deprecated: use New(WithSynth(synth), ...).
-func NewStore(synth Synth, cfg StoreConfig) *Store {
+// New builds a store whose misses run synth. A nil synth is a
+// programming error and panics.
+func New(synth Synth, cfg StoreConfig) *Store {
 	if synth == nil {
-		panic("serve: NewStore needs a Synth")
+		panic("serve: New needs a Synth")
 	}
-	return New(WithSynth(synth), withStoreConfig(cfg))
-}
-
-// NewAppendStore builds a store over an appending synthesis function:
-// cache misses build into a pooled scratch buffer and seal an
-// exact-size immutable copy into the cache, so the steady-state cold
-// path allocates only the bytes that are actually retained.
-//
-// Deprecated: use New(WithAppendSynth(synth), ...).
-func NewAppendStore(synth AppendSynth, cfg StoreConfig) *Store {
-	if synth == nil {
-		panic("serve: NewAppendStore needs an AppendSynth")
-	}
-	return New(WithAppendSynth(synth), withStoreConfig(cfg))
-}
-
-// NewWriterStore builds a store over a sized streaming synthesizer
-// (see WithWriterSynth for the contract).
-//
-// Deprecated: use New(WithWriterSynth(ws), ...).
-func NewWriterStore(ws WriterSynth, cfg StoreConfig) *Store {
-	if ws.Size == nil || ws.Write == nil {
-		panic("serve: NewWriterStore needs both Size and Write")
-	}
-	return New(WithWriterSynth(ws), withStoreConfig(cfg))
-}
-
-// NewCtxStore builds a store over a cancellation-aware synthesis
-// function (see WithCtxSynth for the contract).
-//
-// Deprecated: use New(WithCtxSynth(synth), ...).
-func NewCtxStore(synth CtxSynth, cfg StoreConfig) *Store {
-	if synth == nil {
-		panic("serve: NewCtxStore needs a CtxSynth")
-	}
-	return New(WithCtxSynth(synth), withStoreConfig(cfg))
-}
-
-func newStore(synth Synth, appendSynth AppendSynth, cfg StoreConfig) *Store {
 	n := cfg.Shards
 	if n <= 0 {
 		n = 16
@@ -413,10 +197,9 @@ func newStore(synth Synth, appendSynth AppendSynth, cfg StoreConfig) *Store {
 		per = 1
 	}
 	s := &Store{
-		shards:      make([]*shard, p),
-		mask:        uint64(p - 1),
-		synth:       synth,
-		appendSynth: appendSynth,
+		shards: make([]*shard, p),
+		mask:   uint64(p - 1),
+		synth:  synth,
 		met: storeMetrics{
 			hits:        cfg.Obs.Counter("serve.store.hits"),
 			misses:      cfg.Obs.Counter("serve.store.misses"),
@@ -425,9 +208,6 @@ func newStore(synth Synth, appendSynth AppendSynth, cfg StoreConfig) *Store {
 			shared:      cfg.Obs.Counter("serve.store.singleflight_shared"),
 			bytes:       cfg.Obs.Gauge("serve.store.bytes"),
 		},
-	}
-	if appendSynth != nil {
-		s.scratch = obs.NewBufferPool(cfg.Obs, "serve.store", maxPooledScratch)
 	}
 	for i := range s.shards {
 		s.shards[i] = &shard{
@@ -447,20 +227,19 @@ func (s *Store) shard(k ChunkKey) *shard { return s.shards[k.hash()&s.mask] }
 // Get returns the body for key, synthesizing it on a miss. Concurrent
 // callers for the same cold key share one synthesis (singleflight); the
 // non-leading callers block until the leader finishes or their context
-// expires. On a context-aware store (NewCtxStore) the flight itself is
-// canceled once every sharing caller has departed, so an origin fetch
-// nobody is waiting on anymore aborts instead of completing into the
-// void; one caller's cancellation never disturbs a flight others still
-// want.
+// expires. A flight whose leader can be canceled runs on its own
+// context, canceled once every sharing caller has departed, so an
+// origin fetch nobody is waiting on anymore aborts instead of
+// completing into the void; one caller's cancellation never disturbs a
+// flight others still want.
 //
-// Immutability contract: the returned slice is the cache's own sealed
-// copy, shared by every caller that asks for the same key — it is
-// strictly read-only. Callers must not write through it, reslice it
-// beyond its length, or append to it in place; mutating it corrupts
-// the body every later viewer receives. The store seals bodies as
-// exact-size copies (len == cap), so an accidental append reallocates
-// instead of scribbling on cached bytes, and pooled scratch used
-// during synthesis never aliases what Get returns.
+// Immutability contract: the returned slice is the cache's own copy,
+// shared by every caller that asks for the same key — it is strictly
+// read-only. Callers must not write through it, reslice it beyond its
+// length, or append to it in place; mutating it corrupts the body
+// every later viewer receives. The store clips every body's capacity
+// to its length, so an accidental append reallocates instead of
+// scribbling on cached bytes.
 func (s *Store) Get(ctx context.Context, key ChunkKey) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -487,27 +266,27 @@ func (s *Store) Get(ctx context.Context, key ChunkKey) ([]byte, error) {
 		}
 	}
 	fl := &flight{done: make(chan struct{}), interest: 1}
-	if s.ctxAware() {
-		fl.ctx, fl.cancel = newFlightCtx()
+	// A leader that can never leave keeps the interest count above zero
+	// for the flight's whole life, so only a cancelable leader needs a
+	// flight context of its own.
+	synthCtx := ctx
+	if ctx.Done() != nil {
+		synthCtx, fl.cancel = newFlightCtx()
 	}
 	sh.inflight[key] = fl
 	sh.mu.Unlock()
 
 	s.met.misses.Inc()
-	if s.ctxAware() {
+	stop := func() bool { return false }
+	if fl.cancel != nil {
 		// The leader's departure is its caller's cancellation: release
 		// its interest then, so a flight nobody wants anymore aborts the
 		// synthesis instead of running to completion at the origin.
-		stop := context.AfterFunc(ctx, func() { s.abandon(sh, key, fl) })
-		if s.ctxWriter.Write != nil {
-			fl.body, fl.err = s.synthesizeStreamedCtx(fl.ctx, key)
-		} else {
-			fl.body, fl.err = s.ctxSynth(fl.ctx, key)
-		}
-		stop()
-	} else {
-		fl.body, fl.err = s.synthesize(key)
+		stop = context.AfterFunc(ctx, func() { s.abandon(sh, key, fl) })
 	}
+	fl.body, fl.err = s.synth(synthCtx, key)
+	stop()
+	fl.body = fl.body[:len(fl.body):len(fl.body)]
 
 	sh.mu.Lock()
 	if sh.inflight[key] == fl {
@@ -525,12 +304,10 @@ func (s *Store) Get(ctx context.Context, key ChunkKey) ([]byte, error) {
 }
 
 // abandon releases one caller's interest in a flight. When the last
-// interested caller departs from a context-aware flight that is still
-// in progress, the flight is deregistered (so late arrivals start
-// fresh instead of joining a dying flight) and its context canceled,
-// aborting the synthesis. Flights on non-context stores are never
-// aborted — their synthesis cannot observe cancellation — matching the
-// pre-context behavior.
+// interested caller departs from a flight that has its own context and
+// is still in progress, the flight is deregistered (so late arrivals
+// start fresh instead of joining a dying flight) and its context
+// canceled, aborting the synthesis.
 func (s *Store) abandon(sh *shard, key ChunkKey, fl *flight) {
 	sh.mu.Lock()
 	fl.interest--
@@ -544,113 +321,17 @@ func (s *Store) abandon(sh *shard, key ChunkKey, fl *flight) {
 	}
 }
 
-// synthesize runs the miss path and seals the result: the body handed
-// to callers and to insertLocked is always a private exact-size slice
-// (len == cap), never the synth's own slice or pooled scratch. The
-// append path builds into recycled scratch so the only per-miss
-// allocation that survives is the sealed copy itself; the writer path
-// streams into the sealed allocation directly.
-func (s *Store) synthesize(key ChunkKey) ([]byte, error) {
-	if s.writerSynth.Write != nil {
-		return s.synthesizeStreamed(key)
-	}
-	if s.appendSynth == nil {
-		body, err := s.synth(key)
-		if err != nil {
-			return nil, err
-		}
-		return seal(body), nil
-	}
-	scratch := s.scratch.Get()
-	built, err := s.appendSynth((*scratch)[:0], key)
-	*scratch = built[:0]
-	if err != nil {
-		s.scratch.Put(scratch)
-		return nil, err
-	}
-	sealed := seal(built)
-	s.scratch.Put(scratch)
-	return sealed, nil
-}
-
-// writerPool recycles the slice-backed writers the streamed miss path
-// hands to WriterSynth.Write, keeping the per-miss allocation count at
-// the sealed body alone.
-var writerPool = sync.Pool{New: func() any { return new(sliceWriter) }}
-
-// sliceWriter adapts an append destination to io.Writer; Write never
-// fails.
-type sliceWriter struct{ buf []byte }
-
-func (sw *sliceWriter) Write(p []byte) (int, error) {
-	sw.buf = append(sw.buf, p...)
-	return len(p), nil
-}
-
-// synthesizeStreamed is the writer-first miss path: one exact-size
-// allocation, filled by the synthesizer's stream, already sealed
-// (len == cap) when it goes into the cache.
-func (s *Store) synthesizeStreamed(key ChunkKey) ([]byte, error) {
-	n, err := s.writerSynth.Size(key)
-	if err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("serve: sized synth for %s reports negative length %d", key, n)
-	}
-	sw := writerPool.Get().(*sliceWriter)
-	sw.buf = make([]byte, 0, n)
-	err = s.writerSynth.Write(sw, key)
-	body := sw.buf
-	sw.buf = nil
-	writerPool.Put(sw)
-	if err != nil {
-		return nil, err
-	}
-	if len(body) != n {
-		return nil, fmt.Errorf("serve: sized synth for %s wrote %d bytes, want %d", key, len(body), n)
-	}
-	return body, nil
-}
-
-// synthesizeStreamedCtx is synthesizeStreamed on the flight's shared
-// context: same exact-size sealed allocation, but the synthesizer may
-// abort mid-stream once every interested caller has departed.
-func (s *Store) synthesizeStreamedCtx(ctx context.Context, key ChunkKey) ([]byte, error) {
-	n, err := s.ctxWriter.Size(key)
-	if err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("serve: sized synth for %s reports negative length %d", key, n)
-	}
-	sw := writerPool.Get().(*sliceWriter)
-	sw.buf = make([]byte, 0, n)
-	err = s.ctxWriter.Write(ctx, sw, key)
-	body := sw.buf
-	sw.buf = nil
-	writerPool.Put(sw)
-	if err != nil {
-		return nil, err
-	}
-	if len(body) != n {
-		return nil, fmt.Errorf("serve: sized synth for %s wrote %d bytes, want %d", key, len(body), n)
-	}
-	return body, nil
-}
-
-// seal copies b into an exactly-sized slice (len == cap).
-func seal(b []byte) []byte {
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
-
 // insertLocked caches a freshly synthesized body, evicting the shard's
-// LRU tail past its budget slice. A body larger than the whole slice is
-// served but never cached (keep-zero, matching the player caches'
-// refusal to hold something that would immediately evict everything).
+// LRU tail past its budget slice. An existing entry wins — bodies are
+// pure functions of the key, and an abandoned flight whose synth ran
+// to completion anyway may finish after a fresh flight already cached
+// the key. A body larger than the whole slice is served but never
+// cached (keep-zero, matching the player caches' refusal to hold
+// something that would immediately evict everything).
 func (s *Store) insertLocked(sh *shard, key ChunkKey, body []byte) {
+	if _, ok := sh.entries[key]; ok {
+		return
+	}
 	size := int64(len(body))
 	if size > sh.budget {
 		s.met.uncacheable.Inc()
@@ -693,13 +374,12 @@ func (s *Store) Reset() {
 
 // Put warms the cache with an already-built body for key — the
 // replication write path: a cluster owner that just served a body
-// hands the same sealed slice to the key's other owners, so a warm
+// hands the same cached slice to the key's other owners, so a warm
 // costs no synthesis and no copy. The body must be immutable and is
 // retained as the shared cached copy (a slice previously returned by
-// Get satisfies the contract). An existing entry wins — bodies are
-// pure functions of the key, so there is nothing to replace. Reports
-// whether the body is resident afterwards (false for duplicates and
-// for bodies too large to cache).
+// Get satisfies the contract). An existing entry wins (see
+// insertLocked). Reports whether the body is resident afterwards
+// (false for duplicates and for bodies too large to cache).
 func (s *Store) Put(key ChunkKey, body []byte) bool {
 	sh := s.shard(key)
 	sh.mu.Lock()
@@ -713,18 +393,14 @@ func (s *Store) Put(key ChunkKey, body []byte) bool {
 }
 
 // ChunkLen reports the exact body length the store would serve for the
-// addressed chunk without synthesizing it. Only stores with a sized
-// streaming synth (WithWriterSynth / WithCtxWriterSynth) carry a size
-// model; others return an error.
+// addressed chunk without synthesizing it. Only a catalog store carries
+// a size model; others return an error.
 func (s *Store) ChunkLen(videoID string, quality, tile, index int, layer bool) (int, error) {
 	key := ChunkKey{Video: videoID, Quality: quality, Tile: tile, Index: index, Layer: layer}
-	switch {
-	case s.writerSynth.Size != nil:
-		return s.writerSynth.Size(key)
-	case s.ctxWriter.Size != nil:
-		return s.ctxWriter.Size(key)
+	if s.size == nil {
+		return 0, fmt.Errorf("serve: store has no size model for %s", key)
 	}
-	return 0, fmt.Errorf("serve: store has no size model for %s", key)
+	return s.size(key)
 }
 
 // Contains reports whether key is resident (without touching LRU

@@ -25,7 +25,7 @@ func TestConcurrentColdFetchSynthesizesOnce(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	want := bytes.Repeat([]byte{0xab}, 512)
-	st := NewStore(func(k ChunkKey) ([]byte, error) {
+	st := New(func(_ context.Context, k ChunkKey) ([]byte, error) {
 		if atomic.AddInt32(&calls, 1) == 1 {
 			close(entered)
 		}
@@ -75,7 +75,7 @@ func TestConcurrentColdFetchSynthesizesOnce(t *testing.T) {
 func TestWaiterContextCancel(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	st := NewStore(func(k ChunkKey) ([]byte, error) {
+	st := New(func(_ context.Context, k ChunkKey) ([]byte, error) {
 		close(entered)
 		<-release
 		return []byte("ok"), nil
@@ -115,7 +115,7 @@ func TestEvictionRespectsBudget(t *testing.T) {
 	var calls int32
 	body := bytes.Repeat([]byte{1}, 300)
 	reg := obs.NewRegistry()
-	st := NewStore(func(k ChunkKey) ([]byte, error) {
+	st := New(func(_ context.Context, k ChunkKey) ([]byte, error) {
 		atomic.AddInt32(&calls, 1)
 		return body, nil
 	}, StoreConfig{Shards: 1, BudgetBytes: 1000, Obs: reg})
@@ -177,7 +177,7 @@ func TestEvictionRespectsBudget(t *testing.T) {
 // slice is served but never cached.
 func TestOversizedBodyUncacheable(t *testing.T) {
 	reg := obs.NewRegistry()
-	st := NewStore(func(k ChunkKey) ([]byte, error) {
+	st := New(func(_ context.Context, k ChunkKey) ([]byte, error) {
 		return make([]byte, 4096), nil
 	}, StoreConfig{Shards: 1, BudgetBytes: 1024, Obs: reg})
 	b, err := st.Get(context.Background(), key(0))
@@ -196,7 +196,7 @@ func TestOversizedBodyUncacheable(t *testing.T) {
 // leaves nothing behind, so the next Get retries.
 func TestSynthErrorNotCached(t *testing.T) {
 	var calls int32
-	st := NewStore(func(k ChunkKey) ([]byte, error) {
+	st := New(func(_ context.Context, k ChunkKey) ([]byte, error) {
 		if atomic.AddInt32(&calls, 1) == 1 {
 			return nil, fmt.Errorf("flaky")
 		}
@@ -218,7 +218,7 @@ func TestShardsPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, 16}, {1, 1}, {3, 4}, {16, 16}, {17, 32},
 	} {
-		st := NewStore(func(ChunkKey) ([]byte, error) { return nil, nil }, StoreConfig{Shards: tc.in})
+		st := New(func(context.Context, ChunkKey) ([]byte, error) { return nil, nil }, StoreConfig{Shards: tc.in})
 		if got := st.Shards(); got != tc.want {
 			t.Errorf("Shards(%d) = %d, want %d", tc.in, got, tc.want)
 		}
@@ -229,7 +229,7 @@ func TestShardsPowerOfTwo(t *testing.T) {
 // a keyspace larger than the budget — run under -race this is the
 // lock-striping soundness check.
 func TestParallelMixedWorkload(t *testing.T) {
-	st := NewStore(func(k ChunkKey) ([]byte, error) {
+	st := New(func(_ context.Context, k ChunkKey) ([]byte, error) {
 		return bytes.Repeat([]byte{byte(k.Index)}, 200), nil
 	}, StoreConfig{Shards: 8, BudgetBytes: 8 * 1024})
 	var wg sync.WaitGroup
@@ -282,7 +282,7 @@ func TestWaiterCancelWhileLeaderSynthesizes(t *testing.T) {
 			reg := obs.NewRegistry()
 			entered := make(chan struct{})
 			release := make(chan struct{})
-			st := NewStore(func(k ChunkKey) ([]byte, error) {
+			st := New(func(_ context.Context, k ChunkKey) ([]byte, error) {
 				close(entered)
 				<-release
 				return []byte("ok"), nil
@@ -339,7 +339,7 @@ func TestWaiterCancelWhileLeaderSynthesizes(t *testing.T) {
 func TestResetDropsEverything(t *testing.T) {
 	var calls int32
 	reg := obs.NewRegistry()
-	st := NewStore(func(k ChunkKey) ([]byte, error) {
+	st := New(func(_ context.Context, k ChunkKey) ([]byte, error) {
 		atomic.AddInt32(&calls, 1)
 		return bytes.Repeat([]byte{2}, 100), nil
 	}, StoreConfig{Shards: 4, BudgetBytes: 1 << 20, Obs: reg})
@@ -367,5 +367,57 @@ func TestResetDropsEverything(t *testing.T) {
 	}
 	if atomic.LoadInt32(&calls) != 21 {
 		t.Fatalf("synth calls = %d, want a re-miss after Reset", calls)
+	}
+}
+
+// optBody is a deterministic test body, so stores built over different
+// synths can be compared byte for byte.
+func optBody(k ChunkKey) []byte {
+	return []byte(fmt.Sprintf("body:%s", k))
+}
+
+// TestNewRequiresExactlyOneSynth pins New's construction contract: a
+// store has exactly one miss path, so building one without a synth
+// panics.
+func TestNewRequiresExactlyOneSynth(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("New(nil, ...) did not panic")
+		}
+	}()
+	New(nil, StoreConfig{Shards: 4})
+}
+
+// TestPutWarmsWithoutSynthesis pins the replication write path: Put
+// inserts a pre-built body with no synthesis, a duplicate Put is a
+// no-op, and the warmed body is exactly what Get returns afterwards.
+func TestPutWarmsWithoutSynthesis(t *testing.T) {
+	synths := 0
+	st := New(func(_ context.Context, k ChunkKey) ([]byte, error) {
+		synths++
+		return optBody(k), nil
+	}, StoreConfig{Shards: 2})
+	k := key(7)
+	body := optBody(k)
+	if !st.Put(k, body) {
+		t.Fatal("first Put rejected")
+	}
+	if st.Put(k, body) {
+		t.Fatal("duplicate Put reported an insert")
+	}
+	got, err := st.Get(context.Background(), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, body) {
+		t.Fatal("Get returned different bytes than Put stored")
+	}
+	if synths != 0 {
+		t.Fatalf("warm hit still synthesized %d times", synths)
+	}
+
+	tiny := New(func(_ context.Context, k ChunkKey) ([]byte, error) { return optBody(k), nil }, StoreConfig{Shards: 1, BudgetBytes: 1})
+	if tiny.Put(k, body) {
+		t.Fatal("oversized Put reported residency")
 	}
 }

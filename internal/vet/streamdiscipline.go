@@ -6,8 +6,8 @@ import (
 
 // streamSpans are the serving hot paths: every chunk body they emit
 // must stream writer-first (dash.WriteChunkBody, media.Write*
-// segment builders, the store's WriterSynth) rather than materialize a
-// full []byte per request — PR 7 moved the serving tiers onto the
+// segment builders, the catalog store's sized miss path) rather than
+// materialize a full []byte per request: the serving tiers use the
 // writer-first forms precisely to keep per-request allocation flat.
 var streamSpans = []string{
 	"internal/dash",
