@@ -151,6 +151,43 @@ func BenchmarkColdServeThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkClientFetchChunk is the client rung of the layer ladder:
+// one dash.Client fetch of a bench-video chunk over real loopback TCP
+// (127.0.0.1) from a dash.Server whose store already holds the body, so
+// no op synthesizes. An op is the request, a warm store hit, the body
+// over the socket, and the client's Content-Length-sized read and
+// in-place decode. Client and server share the process, so allocs/op
+// counts both ends of the exchange; the body itself is one of them.
+func BenchmarkClientFetchChunk(b *testing.B) {
+	v := benchVideo()
+	catalog := dash.NewCatalog()
+	if err := catalog.Add(v); err != nil {
+		b.Fatal(err)
+	}
+	store := serve.NewCatalogStore(catalog, serve.StoreConfig{Shards: 16, BudgetBytes: 256 << 20})
+	srv := httptest.NewServer(dash.NewServer(catalog, dash.WithStore(store)))
+	defer srv.Close()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	c := dash.NewClient(srv.URL, dash.WithTransport(tr))
+	ctx := context.Background()
+	bodyLen, err := dash.ChunkBodyLen(v, 3, 0, 0, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := c.FetchChunk(ctx, v.ID, 3, 0, 0); err != nil { // dial, cache the body
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(bodyLen))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.FetchChunk(ctx, v.ID, 3, 0, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkWireWarmProxyThroughput pins the wire cluster's router
 // proxy path over a warm edge: the key is cached on its owning edge
 // before timing, then every front-door GET rendezvous-routes to that

@@ -39,6 +39,11 @@ type Result struct {
 	BytesPerOp  int64
 	AllocsPerOp int64
 	MBPerSec    float64
+	// Machine names the hardware the line was measured on: the CPU
+	// from the output's "cpu:" header and the GOMAXPROCS from the name's
+	// suffix (Go omits the suffix at 1). Empty when the output has no
+	// cpu header.
+	Machine string `json:",omitempty"`
 }
 
 // ParseBench reads `go test -bench` output and returns the benchmark
@@ -48,10 +53,15 @@ type Result struct {
 // a gate that half-parses its input is worse than one that fails.
 func ParseBench(r io.Reader) ([]Result, error) {
 	var out []Result
+	var cpu string
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
+		if c, ok := strings.CutPrefix(line, "cpu:"); ok {
+			cpu = strings.TrimSpace(c)
+			continue
+		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -64,11 +74,15 @@ func ParseBench(r io.Reader) ([]Result, error) {
 			}
 			return nil, fmt.Errorf("benchgate: malformed benchmark line %q", line)
 		}
+		name, procs := splitProcs(fields[0])
 		res := Result{
-			Name:        trimProcs(fields[0]),
+			Name:        name,
 			BytesPerOp:  -1,
 			AllocsPerOp: -1,
 			MBPerSec:    -1,
+		}
+		if cpu != "" {
+			res.Machine = fmt.Sprintf("%s, GOMAXPROCS %s", cpu, procs)
 		}
 		iters, err := strconv.ParseInt(fields[1], 10, 64)
 		if err != nil {
@@ -107,20 +121,21 @@ func ParseBench(r io.Reader) ([]Result, error) {
 	return out, nil
 }
 
-// trimProcs strips the trailing -GOMAXPROCS suffix ("-8" in
-// "BenchmarkX/sub-8") so names are stable across machines. Only an
-// all-digit final segment is stripped.
-func trimProcs(name string) string {
+// splitProcs splits the trailing -GOMAXPROCS suffix ("-8" in
+// "BenchmarkX/sub-8") off a name, so names are stable across machines,
+// and returns it ("1" when absent, as Go omits it at 1). Only an
+// all-digit final segment is a suffix.
+func splitProcs(name string) (string, string) {
 	i := strings.LastIndexByte(name, '-')
 	if i <= 0 || i == len(name)-1 {
-		return name
+		return name, "1"
 	}
 	for _, c := range name[i+1:] {
 		if c < '0' || c > '9' {
-			return name
+			return name, "1"
 		}
 	}
-	return name[:i]
+	return name[:i], name[i+1:]
 }
 
 // Entry is one benchmark's committed baseline numbers.
@@ -128,6 +143,10 @@ type Entry struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"b_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	// Machine names the hardware the numbers were recorded on (see
+	// Result.Machine), so ns/op from different machines are not read as
+	// one series. Empty for entries recorded before the field existed.
+	Machine string `json:"machine,omitempty"`
 }
 
 // Baseline is the committed BENCH_BASELINE.json shape.
@@ -169,7 +188,7 @@ func (b *Baseline) Merge(results []Result) {
 		e, dup := b.Benchmarks[r.Name]
 		n := seen[r.Name]
 		if !dup || n == 0 {
-			b.Benchmarks[r.Name] = Entry{NsPerOp: r.NsPerOp, BytesPerOp: r.BytesPerOp, AllocsPerOp: r.AllocsPerOp}
+			b.Benchmarks[r.Name] = Entry{NsPerOp: r.NsPerOp, BytesPerOp: r.BytesPerOp, AllocsPerOp: r.AllocsPerOp, Machine: r.Machine}
 			seen[r.Name] = 1
 			continue
 		}

@@ -243,3 +243,25 @@ func TestBaselineRoundTripAndMerge(t *testing.T) {
 		t.Fatal("missing baseline loaded")
 	}
 }
+
+// TestMachineFromCPUHeader: each result carries the output's cpu
+// header and its GOMAXPROCS, and a merge records both on the entry.
+func TestMachineFromCPUHeader(t *testing.T) {
+	results, err := ParseBench(strings.NewReader("goos: linux\ncpu: Xeon\n" +
+		"BenchmarkA-2 \t 10 \t 5.0 ns/op\nBenchmarkB \t 20 \t 7.5 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[0].Machine != "Xeon, GOMAXPROCS 2" || results[1].Machine != "Xeon, GOMAXPROCS 1" {
+		t.Fatalf("machines %q, %q", results[0].Machine, results[1].Machine)
+	}
+	b := baseOf(nil)
+	b.Merge(results)
+	if m := b.Benchmarks["BenchmarkA"].Machine; m != "Xeon, GOMAXPROCS 2" {
+		t.Fatalf("merged entry machine = %q", m)
+	}
+	noCPU, err := ParseBench(strings.NewReader("BenchmarkA-2 \t 10 \t 5.0 ns/op\n"))
+	if err != nil || noCPU[0].Machine != "" {
+		t.Fatalf("no cpu header: machine %q, err %v", noCPU[0].Machine, err)
+	}
+}

@@ -3,6 +3,7 @@ package dash
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -229,11 +230,55 @@ func (c *Client) getOnce(ctx context.Context, path string, timeout time.Duration
 	if resp.StatusCode != http.StatusOK {
 		return nil, c.statusError(path, resp)
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		// A body cut mid-segment (server fault, dropped connection) is
-		// worth refetching.
-		return nil, &Error{Op: path, Kind: classifyCtx(ctx, err), Err: err}
+		// worth refetching; one longer than any legal segment is not.
+		kind := classifyCtx(ctx, err)
+		if errors.Is(err, errOversized) {
+			kind = KindFatal
+		}
+		return nil, &Error{Op: path, Kind: kind, Err: err}
+	}
+	return data, nil
+}
+
+// Body read failures that are not the transport's.
+var (
+	errOversized  = fmt.Errorf("dash: body exceeds the %d-byte segment cap", media.MaxSegmentLen)
+	errBodyLength = errors.New("dash: body longer than its Content-Length")
+)
+
+// readBody reads a response body into one buffer. A declared length
+// sizes the buffer exactly, so the body lands with one allocation and
+// no regrowth copies; the read then confirms EOF, which catches a body
+// longer than declared and hands the connection back to the transport
+// for reuse. A body of unknown length (declared < 0) grows its buffer.
+// Either way nothing past media.MaxSegmentLen is allocated: no legal
+// segment is longer, so a larger declaration fails before any
+// body-sized allocation.
+func readBody(r io.Reader, declared int64) ([]byte, error) {
+	if declared > media.MaxSegmentLen {
+		return nil, errOversized
+	}
+	if declared < 0 {
+		data, err := io.ReadAll(io.LimitReader(r, media.MaxSegmentLen+1))
+		if err == nil && len(data) > media.MaxSegmentLen {
+			return nil, errOversized
+		}
+		return data, err
+	}
+	// One spare byte of capacity is the EOF probe's target, so the
+	// probe costs no allocation of its own.
+	data := make([]byte, declared, declared+1)
+	if _, err := io.ReadFull(r, data); err != nil {
+		return nil, err
+	}
+	switch n, err := r.Read(data[declared : declared+1]); {
+	case n > 0:
+		return nil, errBodyLength
+	case err != nil && err != io.EOF:
+		return nil, err
 	}
 	return data, nil
 }
@@ -439,7 +484,7 @@ func (c *Client) fetchSegment(ctx context.Context, path string) (FetchResult, er
 		if err != nil {
 			return FetchResult{}, err
 		}
-		h, payload, derr := media.ReadSegment(bytes.NewReader(data))
+		h, payload, derr := media.DecodeSegment(data)
 		if derr != nil {
 			// The bytes arrived but do not decode — a truncated or corrupt
 			// segment. Refetch within the remaining attempt budget.

@@ -462,11 +462,15 @@ func ChunkBodyLen(v *media.Video, q, tile, idx int, layer bool) (int, error) {
 	return media.SegmentLen(h.VideoID, int(size)), nil
 }
 
-// WriteChunkBody streams the wire body of one chunk into w with zero
-// body materialization: peak scratch is media's fixed block size, not
-// the body. This is the primary synthesis form; the byte-slice
-// builders below wrap it, so streamed, appended and cached bodies are
-// byte-identical by construction.
+// WriteChunkBody writes the wire body of one chunk into w with zero
+// body materialization: into a stream (an http.ResponseWriter) it
+// regenerates the payload block by block, with peak scratch media's
+// fixed block size, not the body; into a buffer destination with room
+// for the body (an AvailableBuffer, like the catalog store's exact-size
+// miss buffer) it builds the body in place in one generator pass. This
+// is the primary synthesis form. It and the byte-slice builders below
+// share chunkSpec and media's generator, so streamed, appended and
+// cached bodies are byte-identical by construction.
 func WriteChunkBody(w io.Writer, v *media.Video, q, tile, idx int, layer bool) error {
 	h, seed, size, err := chunkSpec(v, q, tile, idx, layer)
 	if err != nil {
@@ -488,8 +492,8 @@ func BuildChunkBody(v *media.Video, q, tile, idx int, layer bool) ([]byte, error
 
 // AppendChunkBody appends the wire body of one chunk to dst and
 // returns the extended slice, allocating only when dst lacks capacity —
-// the appending variant of WriteChunkBody for pooled scratch buffers.
-// On error dst is returned unchanged.
+// the appending variant of WriteChunkBody, built in one generator pass
+// (media.AppendSyntheticSegment). On error dst is returned unchanged.
 func AppendChunkBody(dst []byte, v *media.Video, q, tile, idx int, layer bool) ([]byte, error) {
 	h, seed, size, err := chunkSpec(v, q, tile, idx, layer)
 	if err != nil {

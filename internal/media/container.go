@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sync"
 	"time"
 
 	"sperke/internal/obs"
@@ -49,19 +48,27 @@ const (
 	segmentMagic   = "SPRK"
 	segmentVersion = 1
 	headerFixedLen = 26
+	// Offsets of the payload-length and CRC fields in the fixed header.
+	payloadLenOffset = 18
+	crcOffset        = 22
 	// MaxPayloadLen caps a single segment at 64 MiB — far above any
 	// realistic chunk and small enough to reject corrupt length fields
 	// before allocating.
 	MaxPayloadLen = 64 << 20
+	// MaxSegmentLen is the largest legal encoded segment: a 255-byte
+	// video ID and a MaxPayloadLen payload. A body declaring more can
+	// never decode, so receivers refuse it before allocating.
+	MaxSegmentLen = headerFixedLen + 255 + MaxPayloadLen
 	// MaxSegmentTime is the largest Start or Duration the wire format
 	// can carry: both travel as uint32 milliseconds, so anything past
 	// ~49.7 days would silently wrap and fail to round-trip through
-	// ReadSegment. validateSegment rejects it instead.
+	// DecodeSegment. validateSegment rejects it instead.
 	MaxSegmentTime = time.Duration(math.MaxUint32) * time.Millisecond
-	// SyntheticBlockLen is the fixed scratch size of the writer-first
-	// synthesis path: WriteSyntheticSegment never holds more than one
-	// such block regardless of payload length. A multiple of 8 so block
-	// boundaries stay aligned with the generator's 8-byte words.
+	// SyntheticBlockLen is the generator's block: the fixed scratch a
+	// streaming WriteSyntheticSegment holds regardless of payload
+	// length, and the span the one-pass form folds into the CRC while
+	// it is still in cache. A multiple of 8 so block boundaries stay
+	// aligned with the generator's 8-byte words.
 	SyntheticBlockLen = 32 << 10
 )
 
@@ -81,6 +88,9 @@ var (
 	ErrBadMagic   = errors.New("media: segment has bad magic")
 	ErrBadVersion = errors.New("media: unsupported segment version")
 	ErrCorrupt    = errors.New("media: segment payload CRC mismatch")
+	// ErrTrailingBytes rejects a buffer that holds more than one
+	// segment's bytes, such as a response body padded past its segment.
+	ErrTrailingBytes = errors.New("media: trailing bytes after segment payload")
 )
 
 // validateSegment checks header and payload bounds shared by every
@@ -120,8 +130,8 @@ func appendSegmentHeader(dst []byte, h SegmentHeader, payloadLen int, crc uint32
 	binary.BigEndian.PutUint16(fixed[8:], uint16(h.Tile))
 	binary.BigEndian.PutUint32(fixed[10:], uint32(h.Start/time.Millisecond))
 	binary.BigEndian.PutUint32(fixed[14:], uint32(h.Duration/time.Millisecond))
-	binary.BigEndian.PutUint32(fixed[18:], uint32(payloadLen))
-	binary.BigEndian.PutUint32(fixed[22:], crc)
+	binary.BigEndian.PutUint32(fixed[payloadLenOffset:], uint32(payloadLen))
+	binary.BigEndian.PutUint32(fixed[crcOffset:], crc)
 	dst = append(dst, fixed[:]...)
 	return append(dst, h.VideoID...)
 }
@@ -163,57 +173,52 @@ func AppendSegment(dst []byte, h SegmentHeader, payload []byte) ([]byte, error) 
 	return append(dst, payload...), nil
 }
 
-// blockPool recycles the fixed-size scratch blocks of the writer-first
+// blockPool recycles the fixed-size scratch blocks of the streaming
 // synthesis path. Blocks are minted and kept at exactly
 // SyntheticBlockLen, so the pool's resident memory is bounded by the
 // number of concurrent writers, never by body sizes.
 var blockPool = obs.NewSizedBufferPool(nil, "media.block", SyntheticBlockLen, SyntheticBlockLen)
 
-// segWriterPool recycles the slice-backed writers that let the
-// appending builders delegate to the writer-first path without
-// allocating per call.
-var segWriterPool = sync.Pool{New: func() any { return new(sliceWriter) }}
-
-// sliceWriter adapts an append destination to io.Writer. Writes within
-// the buffer's capacity extend it in place; Write never fails.
-type sliceWriter struct{ buf []byte }
-
-func (sw *sliceWriter) Write(p []byte) (int, error) {
-	sw.buf = append(sw.buf, p...)
-	return len(p), nil
+// availableBuffer is the stdlib idiom (bytes.Buffer, bufio.Writer) for
+// a writer that lends out its spare capacity: a caller fills
+// AvailableBuffer()[:k] and then passes that slice to Write.
+type availableBuffer interface {
+	AvailableBuffer() []byte
 }
 
-// WriteSyntheticSegment streams a segment whose payload is
-// SyntheticPayload(seed, n) into w without ever materializing the
-// payload: the deterministic generator is run once through a CRC-32
-// hasher over a reused SyntheticBlockLen scratch block (the CRC of a
-// synthetic payload is computable before emission), then the header is
-// emitted and the payload regenerated block by block straight into w.
-// Peak scratch is the fixed block size regardless of n, and the bytes
-// written are exactly AppendSegment(nil, h, SyntheticPayload(seed, n)).
+// WriteSyntheticSegment writes a segment whose payload is
+// SyntheticPayload(seed, n) to w; the bytes written are exactly
+// AppendSegment(nil, h, SyntheticPayload(seed, n)).
+//
+// A buffer destination — w has an AvailableBuffer with room for the
+// whole segment — takes the one-pass form of AppendSyntheticSegment:
+// the segment is built in that spare capacity and handed to w.Write in
+// one call (a destination whose Write recognizes its own spare
+// capacity commits it without a copy). Any other writer is a stream
+// and takes two passes of the same generator over one reused
+// SyntheticBlockLen scratch block: the first learns the payload CRC
+// (the CRC of a synthetic payload is computable before emission), the
+// second emits the header and then regenerates the payload block by
+// block straight into w. Peak scratch is the fixed block size
+// regardless of n.
 func WriteSyntheticSegment(w io.Writer, h SegmentHeader, seed uint64, n int) error {
-	if n < 0 {
-		return fmt.Errorf("media: negative payload length %d", n)
-	}
-	if err := validateSegment(h, n); err != nil {
+	if err := validateSynthetic(h, n); err != nil {
 		return err
+	}
+	if ab, ok := w.(availableBuffer); ok {
+		if buf, total := ab.AvailableBuffer(), SegmentLen(h.VideoID, n); cap(buf) >= total {
+			seg := buf[:total]
+			fillSyntheticSegment(seg, h, seed, n)
+			_, err := w.Write(seg)
+			return err
+		}
 	}
 	scratch := blockPool.Get()
 	defer blockPool.Put(scratch)
 	block := (*scratch)[:SyntheticBlockLen]
 
-	// Pass 1: CRC of the payload, one block at a time.
-	var crc uint32
-	s := newSynthStream(seed)
-	for rem := n; rem > 0; {
-		k := rem
-		if k > len(block) {
-			k = len(block)
-		}
-		s.fill(block[:k])
-		crc = crc32.Update(crc, crc32.IEEETable, block[:k])
-		rem -= k
-	}
+	// Pass 1: the payload CRC, one scratch block at a time.
+	crc := synthCRC(block, seed, n)
 
 	// Header (the block doubles as header scratch: 26 + ≤255 ID bytes
 	// always fit).
@@ -223,12 +228,9 @@ func WriteSyntheticSegment(w io.Writer, h SegmentHeader, seed uint64, n int) err
 	}
 
 	// Pass 2: regenerate the payload into w.
-	s = newSynthStream(seed)
+	s := newSynthStream(seed)
 	for rem := n; rem > 0; {
-		k := rem
-		if k > len(block) {
-			k = len(block)
-		}
+		k := min(rem, len(block))
 		s.fill(block[:k])
 		if _, err := w.Write(block[:k]); err != nil {
 			return err
@@ -239,72 +241,149 @@ func WriteSyntheticSegment(w io.Writer, h SegmentHeader, seed uint64, n int) err
 }
 
 // AppendSyntheticSegment appends a segment whose payload is
-// SyntheticPayload(seed, n) to dst and returns the extended slice — a
-// thin wrapper over WriteSyntheticSegment writing into dst's spare
-// capacity, so the appending and streaming forms share one encoder and
-// cannot drift. On error dst is returned unchanged. The result is
-// byte-identical to AppendSegment(dst, h, SyntheticPayload(seed, n)).
+// SyntheticPayload(seed, n) to dst and returns the extended slice,
+// allocating only when dst lacks capacity. It is the one-pass form:
+// the generator fills the payload in place block by block, each
+// block's CRC is folded while the block is still in cache, and the
+// header CRC is back-patched. On error dst is returned unchanged. The
+// result is byte-identical to AppendSegment(dst, h,
+// SyntheticPayload(seed, n)) and to what WriteSyntheticSegment
+// streams.
 func AppendSyntheticSegment(dst []byte, h SegmentHeader, seed uint64, n int) ([]byte, error) {
-	if n < 0 {
-		return dst, fmt.Errorf("media: negative payload length %d", n)
-	}
-	if err := validateSegment(h, n); err != nil {
+	if err := validateSynthetic(h, n); err != nil {
 		return dst, err
 	}
-	dst = growCap(dst, SegmentLen(h.VideoID, n))
-	sw := segWriterPool.Get().(*sliceWriter)
-	sw.buf = dst
-	err := WriteSyntheticSegment(sw, h, seed, n)
-	out := sw.buf
-	sw.buf = nil
-	segWriterPool.Put(sw)
-	if err != nil {
-		return dst, err
-	}
+	total := SegmentLen(h.VideoID, n)
+	dst = growCap(dst, total)
+	out := dst[:len(dst)+total]
+	fillSyntheticSegment(out[len(dst):], h, seed, n)
 	return out, nil
 }
 
-// ReadSegment decodes one segment from r, validating magic, version,
-// bounds and payload CRC.
-func ReadSegment(r io.Reader) (SegmentHeader, []byte, error) {
-	var h SegmentHeader
-	fixed := make([]byte, headerFixedLen)
-	if _, err := io.ReadFull(r, fixed); err != nil {
-		return h, nil, err
+// validateSynthetic is validateSegment plus the synthetic forms' own
+// check: a payload length cannot be negative.
+func validateSynthetic(h SegmentHeader, n int) error {
+	if n < 0 {
+		return fmt.Errorf("media: negative payload length %d", n)
 	}
+	return validateSegment(h, n)
+}
+
+// fillSyntheticSegment encodes a validated synthetic segment into seg,
+// which is exactly SegmentLen(h.VideoID, n) bytes: one generator pass
+// over the payload bytes, then the CRC back-patched into the header.
+func fillSyntheticSegment(seg []byte, h SegmentHeader, seed uint64, n int) {
+	hdr := appendSegmentHeader(seg[:0], h, n, 0)
+	crc := synthCRC(seg[len(hdr):], seed, n)
+	binary.BigEndian.PutUint32(seg[crcOffset:], crc)
+}
+
+// synthCRC runs the generator over the n-byte payload of seed one
+// SyntheticBlockLen block at a time and returns the payload's CRC-32,
+// folding each block while it is still in cache. With len(dst) >= n the
+// payload lands in dst[:n]; otherwise dst is one scratch block that
+// every block overwrites in turn (the stream form's CRC pass).
+func synthCRC(dst []byte, seed uint64, n int) uint32 {
+	s := newSynthStream(seed)
+	var crc uint32
+	for off := 0; off < n; off += SyntheticBlockLen {
+		k := min(n-off, SyntheticBlockLen)
+		blk := dst[:k]
+		if len(dst) >= n {
+			blk = dst[off : off+k]
+		}
+		s.fill(blk)
+		crc = crc32.Update(crc, crc32.IEEETable, blk)
+	}
+	return crc
+}
+
+// parseHeader validates a segment's fixed header and returns its full
+// encoded length — the one header check DecodeSegment and ReadSegment
+// share.
+func parseHeader(fixed []byte) (int, error) {
 	if string(fixed[:4]) != segmentMagic {
-		return h, nil, ErrBadMagic
+		return 0, ErrBadMagic
 	}
 	if fixed[4] != segmentVersion {
-		return h, nil, fmt.Errorf("%w: %d", ErrBadVersion, fixed[4])
+		return 0, fmt.Errorf("%w: %d", ErrBadVersion, fixed[4])
 	}
-	h.Quality = int(fixed[5])
-	h.Flags = fixed[6]
 	idLen := int(fixed[7])
 	if idLen == 0 {
-		return h, nil, fmt.Errorf("media: segment has empty video ID")
+		return 0, fmt.Errorf("media: segment has empty video ID")
 	}
-	h.Tile = tiling.TileID(binary.BigEndian.Uint16(fixed[8:]))
-	h.Start = time.Duration(binary.BigEndian.Uint32(fixed[10:])) * time.Millisecond
-	h.Duration = time.Duration(binary.BigEndian.Uint32(fixed[14:])) * time.Millisecond
-	payloadLen := binary.BigEndian.Uint32(fixed[18:])
+	payloadLen := binary.BigEndian.Uint32(fixed[payloadLenOffset:])
 	if payloadLen > MaxPayloadLen {
-		return h, nil, fmt.Errorf("media: payload length %d exceeds max", payloadLen)
+		return 0, fmt.Errorf("media: payload length %d exceeds max", payloadLen)
 	}
-	wantCRC := binary.BigEndian.Uint32(fixed[22:])
-	id := make([]byte, idLen)
-	if _, err := io.ReadFull(r, id); err != nil {
-		return h, nil, err
+	return headerFixedLen + idLen + int(payloadLen), nil
+}
+
+// DecodeSegment decodes buf as exactly one segment, validating magic,
+// version, bounds and payload CRC. The returned payload aliases buf —
+// nothing is copied — so it is valid as long as buf is and changes
+// with it. A buf shorter than the segment its header declares fails
+// with io.ErrUnexpectedEOF (io.EOF when empty); bytes past the
+// payload fail with ErrTrailingBytes, so a body longer than its
+// segment is never silently accepted.
+func DecodeSegment(buf []byte) (SegmentHeader, []byte, error) {
+	if len(buf) == 0 {
+		return SegmentHeader{}, nil, io.EOF
 	}
-	h.VideoID = string(id)
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return h, nil, err
+	if len(buf) < headerFixedLen {
+		return SegmentHeader{}, nil, io.ErrUnexpectedEOF
 	}
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return h, nil, ErrCorrupt
+	total, err := parseHeader(buf)
+	if err != nil {
+		return SegmentHeader{}, nil, err
+	}
+	if len(buf) < total {
+		return SegmentHeader{}, nil, io.ErrUnexpectedEOF
+	}
+	if len(buf) > total {
+		return SegmentHeader{}, nil, fmt.Errorf("%w: %d bytes past a %d-byte segment", ErrTrailingBytes, len(buf)-total, total)
+	}
+	idEnd := headerFixedLen + int(buf[7])
+	payload := buf[idEnd:total:total]
+	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(buf[crcOffset:]) {
+		return SegmentHeader{}, nil, ErrCorrupt
+	}
+	h := SegmentHeader{
+		VideoID:  string(buf[headerFixedLen:idEnd]),
+		Quality:  int(buf[5]),
+		Flags:    buf[6],
+		Tile:     tiling.TileID(binary.BigEndian.Uint16(buf[8:])),
+		Start:    time.Duration(binary.BigEndian.Uint32(buf[10:])) * time.Millisecond,
+		Duration: time.Duration(binary.BigEndian.Uint32(buf[14:])) * time.Millisecond,
 	}
 	return h, payload, nil
+}
+
+// ReadSegment reads exactly one segment from r — the stream adapter
+// over DecodeSegment for readers that carry segments back to back. It
+// reads the fixed header to learn the segment's length, reads the rest
+// into one buffer of exactly that length and decodes it with
+// DecodeSegment, so the returned payload aliases that buffer. A reader
+// that ends mid-segment fails with io.ErrUnexpectedEOF; one that is
+// already at its end returns io.EOF.
+func ReadSegment(r io.Reader) (SegmentHeader, []byte, error) {
+	var fixed [headerFixedLen]byte
+	if _, err := io.ReadFull(r, fixed[:]); err != nil {
+		return SegmentHeader{}, nil, err
+	}
+	total, err := parseHeader(fixed[:])
+	if err != nil {
+		return SegmentHeader{}, nil, err
+	}
+	buf := make([]byte, total)
+	copy(buf, fixed[:])
+	if _, err := io.ReadFull(r, buf[headerFixedLen:]); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return SegmentHeader{}, nil, err
+	}
+	return DecodeSegment(buf)
 }
 
 // SegmentLen returns the encoded size of a segment with the given ID and

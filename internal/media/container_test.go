@@ -151,6 +151,59 @@ func TestReadSegmentTruncated(t *testing.T) {
 	}
 }
 
+// TestDecodeSegmentRejectsTrailingBytes: a buffer holding a valid
+// segment plus anything after it is not a segment. Before
+// DecodeSegment, the delivery path decoded bodies through a reader and
+// silently dropped the excess.
+func TestDecodeSegmentRejectsTrailingBytes(t *testing.T) {
+	var buf bytes.Buffer
+	h := SegmentHeader{VideoID: "pad", Quality: 2, Tile: 5}
+	if err := WriteSegment(&buf, h, SyntheticPayload(3, 700)); err != nil {
+		t.Fatal(err)
+	}
+	seg := buf.Bytes()
+	if _, _, err := DecodeSegment(seg); err != nil {
+		t.Fatalf("valid segment rejected: %v", err)
+	}
+	for _, pad := range []int{1, 7, len(seg)} {
+		padded := append(append([]byte(nil), seg...), make([]byte, pad)...)
+		if _, _, err := DecodeSegment(padded); !errors.Is(err, ErrTrailingBytes) {
+			t.Fatalf("%d trailing bytes: err = %v, want ErrTrailingBytes", pad, err)
+		}
+	}
+	for _, cut := range []int{0, 3, headerFixedLen - 1, headerFixedLen + 1, len(seg) - 1} {
+		_, _, err := DecodeSegment(seg[:cut])
+		if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("truncation at %d: err = %v, want EOF or ErrUnexpectedEOF", cut, err)
+		}
+	}
+}
+
+// TestDecodeSegmentAliasesBuffer pins the in-place contract: the
+// payload is a window of the caller's buffer, not a copy, and decoding
+// allocates only the video ID string.
+func TestDecodeSegmentAliasesBuffer(t *testing.T) {
+	seg, err := AppendSegment(nil, SegmentHeader{VideoID: "alias"}, SyntheticPayload(8, 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, payload, err := DecodeSegment(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &payload[0] != &seg[len(seg)-len(payload)] || cap(payload) != len(payload) {
+		t.Fatal("payload does not alias the tail of the decoded buffer")
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, _, err := DecodeSegment(seg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("DecodeSegment: %v allocs/op, want at most 1 (the video ID)", allocs)
+	}
+}
+
 func TestReadSegmentStream(t *testing.T) {
 	// Multiple segments back to back decode in order — the live push path
 	// relies on this framing.

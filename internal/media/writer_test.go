@@ -99,7 +99,62 @@ func FuzzSyntheticSegmentForms(f *testing.F) {
 		if !bytes.Equal(streamed.Bytes(), materialized) {
 			t.Fatal("streamed differs from AppendSegment(SyntheticPayload)")
 		}
+		onePass := &spareWriter{buf: make([]byte, 0, SegmentLen(h.VideoID, n))}
+		if err := WriteSyntheticSegment(onePass, h, seed, n); err != nil {
+			t.Fatalf("one-pass form rejected what the other forms accepted: %v", err)
+		}
+		if !bytes.Equal(streamed.Bytes(), onePass.buf) || onePass.writes != 1 {
+			t.Fatalf("one-pass form differs from streamed (%d writes)", onePass.writes)
+		}
 	})
+}
+
+// spareWriter is a buffer destination: it lends its spare capacity
+// through AvailableBuffer and counts Write calls, so a test can tell
+// the one-pass form (a single Write of the whole segment) from the
+// streaming one.
+type spareWriter struct {
+	buf    []byte
+	writes int
+}
+
+func (w *spareWriter) AvailableBuffer() []byte { return w.buf[len(w.buf):] }
+
+func (w *spareWriter) Write(p []byte) (int, error) {
+	w.writes++
+	w.buf = append(w.buf, p...)
+	return len(p), nil
+}
+
+// TestWriteSyntheticSegmentBufferDestination pins which form a writer
+// gets: one with room for the whole segment in its AvailableBuffer is
+// handed the finished segment in one Write; one with a byte too little
+// gets the streamed form (header, then one Write per block). Both
+// emit the same bytes.
+func TestWriteSyntheticSegmentBufferDestination(t *testing.T) {
+	h := equivHeader()
+	const n = 2*SyntheticBlockLen + 5
+	want, err := AppendSyntheticSegment(nil, h, 9, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		spare, writes int
+	}{
+		{len(want), 1},
+		{len(want) - 1, 1 + 3},
+	} {
+		w := &spareWriter{buf: make([]byte, 0, c.spare)}
+		if err := WriteSyntheticSegment(w, h, 9, n); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w.buf, want) {
+			t.Fatalf("spare %d: bytes differ from AppendSyntheticSegment", c.spare)
+		}
+		if w.writes != c.writes {
+			t.Fatalf("spare %d: %d writes, want %d", c.spare, w.writes, c.writes)
+		}
+	}
 }
 
 // TestWriteSyntheticSegmentZeroAlloc pins the streaming path's scratch

@@ -146,7 +146,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		switch m.Type {
 		case TypeVideo:
-			h, payload, err := media.ReadSegment(bytes.NewReader(m.Payload))
+			h, payload, err := media.DecodeSegment(m.Payload)
 			if err != nil {
 				s.log().Debug("rtmp: bad segment", "stream", stream, "err", err)
 				continue

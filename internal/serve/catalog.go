@@ -14,9 +14,9 @@ import (
 // first synthesis routine the store-less serving path uses, so cached
 // and streamed bodies are byte-identical by construction. Each miss
 // allocates the body at its exact length (dash.ChunkBodyLen) and the
-// stream fills it; a miss performs no other body-sized work. The
-// store's size model answers ChunkLen. Wire it under a server with
-// dash.WithStore:
+// synthesis fills it in place in one generator pass; a miss performs
+// no other body-sized work. The store's size model answers ChunkLen.
+// Wire it under a server with dash.WithStore:
 //
 //	store := serve.NewCatalogStore(catalog, serve.StoreConfig{BudgetBytes: 256 << 20})
 //	srv := dash.NewServer(catalog, dash.WithStore(store))
@@ -69,16 +69,27 @@ func newSizedStore(size func(ChunkKey) (int, error), write func(io.Writer, Chunk
 	return s
 }
 
-// writerPool recycles the slice-backed writers the sized miss path
+// writerPool recycles the exact-size destinations the sized miss path
 // streams into, keeping the per-miss allocation count at the body
 // alone.
 var writerPool = sync.Pool{New: func() any { return new(sliceWriter) }}
 
-// sliceWriter adapts an append destination to io.Writer; Write never
+// sliceWriter is the exact-size destination of a sized miss. It lends
+// its spare capacity through AvailableBuffer, so a writer-first
+// synthesis with room for the whole body (media.WriteSyntheticSegment)
+// builds it in place in one generator pass; Write then commits that
+// same spare capacity by extending the length instead of copying the
+// bytes onto themselves. Any other slice is appended. Write never
 // fails.
 type sliceWriter struct{ buf []byte }
 
+func (sw *sliceWriter) AvailableBuffer() []byte { return sw.buf[len(sw.buf):] }
+
 func (sw *sliceWriter) Write(p []byte) (int, error) {
+	if n := len(sw.buf); len(p) > 0 && len(p) <= cap(sw.buf)-n && &sw.buf[:n+1][n] == &p[0] {
+		sw.buf = sw.buf[:n+len(p)]
+		return len(p), nil
+	}
 	sw.buf = append(sw.buf, p...)
 	return len(p), nil
 }
